@@ -87,12 +87,14 @@ soak: build
 
 # fuzz-quick gives each native fuzzer a short budget: the coloring
 # interval sweeps (every color decision funnels through them), the
-# persistent conflict-index invariants, and the sessionized batch API's
-# differential against the one-shot schedulers. The seed corpora also run
-# as plain tests under `make test`.
+# persistent conflict-index invariants, the sessionized batch API's
+# differential against the one-shot schedulers, and the shortest-path tree
+# build against the reference Dijkstra. The seed corpora also run as plain
+# tests under `make test`.
 fuzz-quick: build
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValid$$' -fuzztime 30s ./internal/coloring/
 	$(GO) test -run '^$$' -fuzz 'FuzzSmallestValidMultiple$$' -fuzztime 30s ./internal/coloring/
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexInvariants$$' -fuzztime 30s ./internal/depgraph/
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchIncremental$$' -fuzztime 30s ./internal/batch/
 	$(GO) test -run '^$$' -fuzz 'FuzzWindowDraws$$' -fuzztime 30s ./internal/window/
+	$(GO) test -run '^$$' -fuzz 'FuzzTreeBuild$$' -fuzztime 30s ./internal/graph/

@@ -102,8 +102,7 @@ type (
 	WindowOptions = window.Options
 	// EngineOptions is the shared engine-selection knob embedded in both
 	// GreedyOptions and BucketOptions: RebuildOracle selects the
-	// from-scratch reference engine over the incremental default. The
-	// schedulers' own RebuildOracle fields remain as deprecated forwards.
+	// from-scratch reference engine over the incremental default.
 	EngineOptions = sched.EngineOptions
 	// BatchScheduler is an offline batch algorithm A for the bucket
 	// conversion.

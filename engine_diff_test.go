@@ -2,7 +2,7 @@ package dtm
 
 // Differential test of the two scheduling engines: the incremental
 // depgraph-backed engine (default) and the per-arrival rebuild oracle
-// (Options.RebuildOracle) must produce byte-identical decision logs for
+// (EngineOptions.RebuildOracle) must produce byte-identical decision logs for
 // every scheduler, topology, and seed. The greedy color depends only on
 // the set of forbidden intervals — both engines feed the same interval
 // sets into the shared coloring.SmallestValid* sweeps — and the bucket
@@ -62,30 +62,31 @@ func TestIncrementalMatchesRebuildOracle(t *testing.T) {
 	}
 	// Feature-knob extras the registry defaults cannot spell: padding,
 	// elastic half-speed execution, slow buckets, the randomized batch
-	// scheduler, and the deprecated per-package RebuildOracle forwards.
+	// scheduler, and the facade's keyed-literal spelling of the knob.
 	cases = append(cases,
 		diffCase{"greedy-pad2", func(r bool) Scheduler {
-			return NewGreedy(GreedyOptions{Pad: 2, RebuildOracle: r})
+			return NewGreedy(GreedyOptions{Pad: 2, EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{}},
 		// Elastic execution at half object speed makes commits run past
 		// their decided times, exercising the index's straggler re-arm.
 		diffCase{"greedy-elastic-slow", func(r bool) Scheduler {
-			return NewGreedy(GreedyOptions{RebuildOracle: r})
+			return NewGreedy(GreedyOptions{EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{Sim: SimOptions{ElasticExec: true, SlowFactor: 2}}},
 		diffCase{"bucket-random-suffix", func(r bool) Scheduler {
-			return NewBucket(BucketOptions{Batch: WithSuffixProperty(RandomizedBatch(42, 3)), RebuildOracle: r})
+			return NewBucket(BucketOptions{Batch: WithSuffixProperty(RandomizedBatch(42, 3)), EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{}},
 		diffCase{"bucket-tour-slow", func(r bool) Scheduler {
-			return NewBucket(BucketOptions{Batch: TourBatch(), Slow: 2, RebuildOracle: r})
+			return NewBucket(BucketOptions{Batch: TourBatch(), Slow: 2, EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{Sim: SimOptions{ElasticExec: true, SlowFactor: 2}}},
-		// The deprecated per-package RebuildOracle fields must keep
-		// selecting the oracle alongside the registry's EngineOptions
-		// spelling (the diffCase entries above pin the shared knob).
+		// A keyed GreedyOptions/BucketOptions literal through the facade
+		// constructors must select the oracle exactly as the registry's
+		// Desc.New does. (These cases once pinned the per-package
+		// RebuildOracle forwards this spelling replaced; the names stay.)
 		diffCase{"greedy-deprecated-field", func(r bool) Scheduler {
-			return NewGreedy(GreedyOptions{RebuildOracle: r})
+			return NewGreedy(GreedyOptions{EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{}},
 		diffCase{"bucket-tour-deprecated-field", func(r bool) Scheduler {
-			return NewBucket(BucketOptions{Batch: TourBatch(), RebuildOracle: r})
+			return NewBucket(BucketOptions{Batch: TourBatch(), EngineOptions: EngineOptions{RebuildOracle: r}})
 		}, RunOptions{}},
 	)
 	for topoName, g := range diffTopologies(t) {
@@ -145,7 +146,7 @@ func TestEngineAuditParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		inc := NewGreedy(GreedyOptions{Uniform: uniform})
-		orc := NewGreedy(GreedyOptions{Uniform: uniform, RebuildOracle: true})
+		orc := NewGreedy(GreedyOptions{Uniform: uniform, EngineOptions: EngineOptions{RebuildOracle: true}})
 		if _, err := Run(in, inc, RunOptions{}); err != nil {
 			t.Fatal(err)
 		}

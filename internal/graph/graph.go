@@ -4,6 +4,14 @@
 // machinery (distances, routing next hops, explicit paths), diameter, and
 // metric-closure minimum spanning trees used by the lower-bound estimators.
 //
+// Shortest paths come from per-source trees built with a monotone radix
+// heap, one code path for every weight. Routing is deterministic: the
+// parent of v is its smallest-ID neighbour on a shortest path, which depends
+// on the distances alone, so each node's first hop is fixed when the node is
+// settled and no order of equal heap keys can change a route. A cached tree
+// keeps 12 bytes per node, the distance and the int32 first hop; Path
+// recomputes parents along the one path it walks.
+//
 // All query methods are safe for concurrent use; shortest-path trees are
 // computed lazily per source and cached, and trees for distinct sources
 // build concurrently (per-source build locks), so the parallel engines'
@@ -13,11 +21,11 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"dtm/internal/pq"
 )
 
 // NodeID identifies a node of a Graph. Nodes are numbered 0..N()-1.
@@ -49,16 +57,22 @@ type Graph struct {
 	trees []atomic.Pointer[spTree] // lazily built shortest-path tree per source
 }
 
+// spTree is the shortest-path tree rooted at one source. Parents are not
+// stored: the parent of v is its smallest-ID neighbour u with
+// dist[u] + w(u,v) = dist[v], which Path recomputes along the one path it
+// walks.
 type spTree struct {
-	dist   []Weight
-	parent []NodeID // parent[v] on shortest path tree; -1 for source/unreachable
-	hop    []NodeID // first node after the source on the path to v; -1 for source/unreachable
+	dist []Weight
+	hop  []int32 // first node after the source on the path to v; read only for reachable v != source
 }
 
 // New returns an empty graph with n nodes and no edges.
 func New(n int) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: node count must be positive, got %d", n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: node count %d exceeds %d", n, math.MaxInt32)
 	}
 	return &Graph{
 		adj:   make([][]Edge, n),
@@ -90,7 +104,9 @@ func (g *Graph) N() int { return len(g.adj) }
 func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts an undirected edge {u, v} of weight w. It is an error to
-// add a self-loop, an out-of-range endpoint, or a non-positive weight.
+// add a self-loop, an out-of-range endpoint, a non-positive weight, or a
+// weight of Infinite/N() or more: below that bound no simple path reaches
+// Infinite, so every reachable pair has a finite distance.
 // Parallel edges are coalesced, keeping the smaller weight.
 func (g *Graph) AddEdge(u, v NodeID, w Weight) error {
 	if u == v {
@@ -101,6 +117,9 @@ func (g *Graph) AddEdge(u, v NodeID, w Weight) error {
 	}
 	if w <= 0 {
 		return fmt.Errorf("graph: edge {%d,%d} has non-positive weight %d", u, v, w)
+	}
+	if w >= Infinite/Weight(g.N()) {
+		return fmt.Errorf("graph: edge {%d,%d} weight %d is not below Infinite/%d", u, v, w, g.N())
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -160,7 +179,8 @@ func (g *Graph) EdgeWeight(u, v NodeID) (Weight, bool) {
 // per-source build lock (re-checking under it), so the parallel compute
 // phases build trees for distinct sources concurrently; the graph-wide
 // RLock held across the build and the store keeps an AddEdge from
-// interleaving between a build and its publication.
+// interleaving between a build and its publication. A cached tree is 12
+// bytes per node: the dist row and the int32 first-hop row.
 func (g *Graph) tree(src NodeID) *spTree {
 	if t := g.trees[src].Load(); t != nil {
 		return t
@@ -172,74 +192,148 @@ func (g *Graph) tree(src NodeID) *spTree {
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	t := g.dijkstra(src)
+	t := g.shortestPaths(src)
 	//par:owned g.trees per-source build locks serialize each slot and the atomic publication is idempotent: concurrent compute phases read either nil (and build the identical tree) or the finished tree
 	g.trees[src].Store(t)
 	return t
 }
 
-// dijkstra computes a deterministic shortest-path tree from src, breaking
-// distance ties by smaller node ID so that routing is reproducible.
-func (g *Graph) dijkstra(src NodeID) *spTree {
+// shortestPaths computes the shortest-path tree rooted at src with a
+// monotone radix heap. The tree's parent of v is its smallest-ID
+// predecessor, min{u : dist[u] + w(u,v) = dist[v]}, a function of the
+// distances alone. Every such u is strictly closer than v, so it is settled
+// before v; the scan that relaxes v's neighbours when v is settled also
+// finds that predecessor and fixes hop[v] from it. The order in which the
+// heap hands out equal keys therefore cannot change a route.
+func (g *Graph) shortestPaths(src NodeID) *spTree {
 	n := g.N()
-	t := &spTree{
-		dist:   make([]Weight, n),
-		parent: make([]NodeID, n),
-		hop:    make([]NodeID, n),
-	}
+	t := &spTree{dist: make([]Weight, n), hop: make([]int32, n)}
 	for i := range t.dist {
 		t.dist[i] = Infinite
-		t.parent[i] = -1
-		t.hop[i] = -1
 	}
 	t.dist[src] = 0
-	frontier := pq.New(lessHeapItem, heapItem{node: src, dist: 0})
-	done := make([]bool, n)
-	for frontier.Len() > 0 {
-		it := frontier.Pop()
-		u := it.node
-		if done[u] {
-			continue
+	h := newRadixHeap(t.dist)
+	h.push(int32(src))
+	for {
+		u, ok := h.pop()
+		if !ok {
+			return t
 		}
-		done[u] = true
+		du := t.dist[u]
+		pred := int32(-1)
 		for _, e := range g.adj[u] {
-			nd := it.dist + e.W
-			switch {
-			case nd < t.dist[e.To]:
-				t.dist[e.To] = nd
-				t.parent[e.To] = u
-				frontier.Push(heapItem{node: e.To, dist: nd})
-			case nd == t.dist[e.To] && u < t.parent[e.To]:
-				// Deterministic tie-break: prefer the smaller-ID parent.
-				t.parent[e.To] = u
+			x := int32(e.To)
+			switch nd := du + e.W; {
+			case nd < t.dist[x]:
+				h.decrease(x, nd)
+			case t.dist[x]+e.W == du && (pred < 0 || x < pred):
+				pred = x
 			}
 		}
+		if pred == int32(src) {
+			t.hop[u] = u
+		} else if pred >= 0 { // pred is -1 only at the source
+			t.hop[u] = t.hop[pred]
+		}
 	}
-	// Fill the first-hop table in a post-pass (parents can still change on
-	// tie-breaks during the main loop). Each node walks its parent chain
-	// until it reaches src or a node whose hop is already known, then the
-	// whole chain shares that answer — amortized O(n) overall, and NextHop
-	// becomes a single array lookup instead of an O(path length) walk.
-	var chain []NodeID
-	for v := NodeID(0); int(v) < n; v++ {
-		if v == src || t.dist[v] == Infinite || t.hop[v] != -1 {
-			continue
+}
+
+// radixHeap is a monotone priority queue of node IDs keyed by a tree's dist
+// row. A queued node sits in bucket bits.Len64(key ^ last), where last is
+// the key most recently popped; popping from an empty bucket 0 moves the
+// smallest non-empty bucket down around its minimum key. Buckets are
+// intrusive doubly linked lists over one []int32 scratch (next, prev and
+// bucket per node), so push, decrease-key and pop never allocate. Keys stay
+// below Infinite = 2^62 (AddEdge bounds every edge weight so no simple path
+// reaches it), so 63 buckets suffice.
+type radixHeap struct {
+	key              []Weight
+	next, prev, slot []int32 // slot is the node's bucket, -1 when not queued
+	head             [63]int32
+	nonEmpty         uint64 // bit b set when bucket b holds a node
+	last             Weight
+}
+
+func newRadixHeap(key []Weight) radixHeap {
+	n := len(key)
+	scratch := make([]int32, 3*n)
+	h := radixHeap{key: key, next: scratch[:n], prev: scratch[n : 2*n], slot: scratch[2*n:]}
+	for i := range h.slot {
+		h.slot[i] = -1
+	}
+	for b := range h.head {
+		h.head[b] = -1
+	}
+	return h
+}
+
+func (h *radixHeap) bucket(k Weight) int32 {
+	return int32(bits.Len64(uint64(k ^ h.last)))
+}
+
+// push queues v under its current key.
+func (h *radixHeap) push(v int32) {
+	b := h.bucket(h.key[v])
+	h.slot[v], h.prev[v], h.next[v] = b, -1, h.head[b]
+	if h.head[b] >= 0 {
+		h.prev[h.head[b]] = v
+	}
+	h.head[b] = v
+	h.nonEmpty |= 1 << b
+}
+
+func (h *radixHeap) unlink(v int32) {
+	b, p, nx := h.slot[v], h.prev[v], h.next[v]
+	if p >= 0 {
+		h.next[p] = nx
+	} else if h.head[b] = nx; nx < 0 {
+		h.nonEmpty &^= 1 << b
+	}
+	if nx >= 0 {
+		h.prev[nx] = p
+	}
+	h.slot[v] = -1
+}
+
+// decrease lowers v's key to k (k >= last), queueing v if it was not.
+func (h *radixHeap) decrease(v int32, k Weight) {
+	h.key[v] = k
+	if b := h.slot[v]; b >= 0 {
+		if b == h.bucket(k) {
+			return
 		}
-		chain = chain[:0]
-		cur := v
-		for cur != src && t.hop[cur] == -1 {
-			chain = append(chain, cur)
-			cur = t.parent[cur]
-		}
-		h := t.hop[cur] // -1 when cur == src
-		for i := len(chain) - 1; i >= 0; i-- {
-			if h == -1 {
-				h = chain[i] // first node after src on this branch
+		h.unlink(v)
+	}
+	h.push(v)
+}
+
+// pop removes and returns a node of minimum key; ok is false when the heap
+// is empty.
+func (h *radixHeap) pop() (v int32, ok bool) {
+	if h.nonEmpty == 0 {
+		return -1, false
+	}
+	if h.head[0] < 0 {
+		b := bits.TrailingZeros64(h.nonEmpty)
+		first := h.head[b]
+		lo := h.key[first]
+		for x := h.next[first]; x >= 0; x = h.next[x] {
+			if h.key[x] < lo {
+				lo = h.key[x]
 			}
-			t.hop[chain[i]] = h
+		}
+		h.head[b] = -1
+		h.nonEmpty &^= 1 << b
+		h.last = lo
+		for x := first; x >= 0; {
+			nx := h.next[x]
+			h.push(x)
+			x = nx
 		}
 	}
-	return t
+	v = h.head[0]
+	h.unlink(v)
+	return v, true
 }
 
 // Dist returns the shortest-path distance from u to v, or Infinite if v is
@@ -264,11 +358,13 @@ func (g *Graph) NextHop(u, v NodeID) NodeID {
 	if t.dist[v] == Infinite {
 		return -1
 	}
-	return t.hop[v]
+	return NodeID(t.hop[v])
 }
 
 // Path returns the node sequence of the deterministic shortest path from u to
-// v, inclusive of both endpoints. It returns nil when v is unreachable.
+// v, inclusive of both endpoints. It returns nil when v is unreachable. The
+// path walks back from v through each node's smallest-ID predecessor, read
+// off the tree's dist row and the adjacency list.
 func (g *Graph) Path(u, v NodeID) []NodeID {
 	if !g.valid(u) || !g.valid(v) {
 		return nil
@@ -280,9 +376,15 @@ func (g *Graph) Path(u, v NodeID) []NodeID {
 	if t.dist[v] == Infinite {
 		return nil
 	}
-	var rev []NodeID
-	for cur := v; cur != -1; cur = t.parent[cur] {
-		rev = append(rev, cur)
+	rev := []NodeID{v}
+	for cur := v; cur != u; rev = append(rev, cur) {
+		pred := NodeID(-1)
+		for _, e := range g.adj[cur] {
+			if t.dist[e.To]+e.W == t.dist[cur] && (pred < 0 || e.To < pred) {
+				pred = e.To
+			}
+		}
+		cur = pred
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
@@ -428,18 +530,4 @@ func (g *Graph) String() string {
 		name = "graph"
 	}
 	return fmt.Sprintf("%s(n=%d, m=%d)", name, g.N(), g.M())
-}
-
-// heapItem orders the Dijkstra priority queue deterministically by
-// (dist, node); the queue itself is an allocation-free pq.Heap.
-type heapItem struct {
-	node NodeID
-	dist Weight
-}
-
-func lessHeapItem(a, b heapItem) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.node < b.node
 }

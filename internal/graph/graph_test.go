@@ -2,9 +2,12 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"dtm/internal/pq"
 )
 
 func mustLine(t *testing.T, n int) *Graph {
@@ -30,11 +33,13 @@ func TestAddEdgeValidation(t *testing.T) {
 		u, v NodeID
 		w    Weight
 	}{
-		{0, 0, 1},  // self loop
-		{0, 3, 1},  // out of range
-		{-1, 1, 1}, // negative node
-		{0, 1, 0},  // zero weight
-		{0, 1, -5}, // negative weight
+		{0, 0, 1},            // self loop
+		{0, 3, 1},            // out of range
+		{-1, 1, 1},           // negative node
+		{0, 1, 0},            // zero weight
+		{0, 1, -5},           // negative weight
+		{0, 1, Infinite},     // a path could reach Infinite
+		{0, 1, Infinite / 3}, // two such edges would sum past Infinite
 	}
 	for _, c := range cases {
 		if err := g.AddEdge(c.u, c.v, c.w); err == nil {
@@ -484,18 +489,6 @@ func TestMetricMSTLowerBoundsOrderedWalk(t *testing.T) {
 	}
 }
 
-func BenchmarkDijkstraHypercube10(b *testing.B) {
-	g, err := Hypercube(10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Bypass the cache by rebuilding the tree.
-		_ = g.dijkstra(NodeID(i % g.N()))
-	}
-}
-
 func TestTorus(t *testing.T) {
 	g, err := Torus(4, 4)
 	if err != nil {
@@ -581,5 +574,258 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
+	}
+}
+
+// TestLargestAcceptedWeightsRoute pins the other side of the AddEdge weight
+// bound: with the largest weight accepted on n nodes, a path over every node
+// still has a finite length, so the graph stays connected and routable.
+func TestLargestAcceptedWeightsRoute(t *testing.T) {
+	const n = 3
+	g := MustNew(n)
+	maxW := Infinite/n - 1
+	for _, e := range [][2]NodeID{{0, 1}, {1, 2}} {
+		if err := g.AddEdge(e[0], e[1], maxW); err != nil {
+			t.Fatalf("AddEdge(%v, %d): %v", e, maxW, err)
+		}
+	}
+	if !g.Connected() {
+		t.Fatal("Connected() = false with the largest accepted weights")
+	}
+	if d := g.Dist(0, 2); d != 2*maxW {
+		t.Errorf("Dist(0,2) = %d, want %d", d, 2*maxW)
+	}
+	if h := g.NextHop(0, 2); h != 1 {
+		t.Errorf("NextHop(0,2) = %d, want 1", h)
+	}
+}
+
+// refTree is the reference shortest-path tree the production build is
+// checked against: a binary-heap Dijkstra ordered by (dist, node) with a
+// settled set, which keeps the smaller-ID parent on distance ties and fills
+// the first-hop table in a post-pass over the parent chains.
+type refTree struct {
+	dist   []Weight
+	parent []NodeID // -1 for the source and unreachable nodes
+	hop    []NodeID // -1 for the source and unreachable nodes
+}
+
+type refItem struct {
+	node NodeID
+	dist Weight
+}
+
+func buildRefTree(g *Graph, src NodeID) *refTree {
+	n := g.N()
+	t := &refTree{dist: make([]Weight, n), parent: make([]NodeID, n), hop: make([]NodeID, n)}
+	for i := range t.dist {
+		t.dist[i], t.parent[i], t.hop[i] = Infinite, -1, -1
+	}
+	t.dist[src] = 0
+	less := func(a, b refItem) bool {
+		if a.dist != b.dist {
+			return a.dist < b.dist
+		}
+		return a.node < b.node
+	}
+	frontier := pq.New(less, refItem{node: src})
+	done := make([]bool, n)
+	for frontier.Len() > 0 {
+		it := frontier.Pop()
+		u := it.node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for _, e := range g.Neighbors(u) {
+			nd := it.dist + e.W
+			switch {
+			case nd < t.dist[e.To]:
+				t.dist[e.To] = nd
+				t.parent[e.To] = u
+				frontier.Push(refItem{node: e.To, dist: nd})
+			case nd == t.dist[e.To] && u < t.parent[e.To]:
+				t.parent[e.To] = u
+			}
+		}
+	}
+	for v := NodeID(0); int(v) < n; v++ {
+		if v == src || t.dist[v] == Infinite {
+			continue
+		}
+		cur := v
+		for t.parent[cur] != src {
+			cur = t.parent[cur]
+		}
+		t.hop[v] = cur
+	}
+	return t
+}
+
+func (r *refTree) path(v NodeID) []NodeID {
+	if r.dist[v] == Infinite {
+		return nil
+	}
+	var rev []NodeID
+	for cur := v; cur != -1; cur = r.parent[cur] {
+		rev = append(rev, cur)
+	}
+	slices.Reverse(rev)
+	return rev
+}
+
+// sameAsRef reports the first query on which g disagrees with refTree,
+// checking Dist, NextHop and Path for every source and target.
+func sameAsRef(g *Graph) error {
+	for s := NodeID(0); int(s) < g.N(); s++ {
+		ref := buildRefTree(g, s)
+		for v := NodeID(0); int(v) < g.N(); v++ {
+			if d := g.Dist(s, v); d != ref.dist[v] {
+				return fmt.Errorf("%v: Dist(%d,%d) = %d, ref %d", g, s, v, d, ref.dist[v])
+			}
+			wantHop := ref.hop[v]
+			if v == s {
+				wantHop = s
+			}
+			if h := g.NextHop(s, v); h != wantHop {
+				return fmt.Errorf("%v: NextHop(%d,%d) = %d, ref %d", g, s, v, h, wantHop)
+			}
+			if p, want := g.Path(s, v), ref.path(v); !slices.Equal(p, want) {
+				return fmt.Errorf("%v: Path(%d,%d) = %v, ref %v", g, s, v, p, want)
+			}
+		}
+	}
+	return nil
+}
+
+// TestTreesMatchRef pins the radix-heap build to the reference Dijkstra on
+// every topology constructor, random weighted graphs from unit weights up
+// to 2^40, a disconnected graph, and a graph whose parallel edges were
+// coalesced.
+func TestTreesMatchRef(t *testing.T) {
+	var graphs []*Graph
+	add := func(g *Graph, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	add(Clique(7))
+	add(WeightedClique(6, 3))
+	add(Line(9))
+	add(Ring(10))
+	add(Grid(5, 4))
+	add(Grid(3, 2, 3))
+	add(Torus(4, 5))
+	add(Hypercube(4))
+	add(Butterfly(3))
+	add(Cluster(ClusterSpec{Alpha: 3, Beta: 4, Gamma: 5}))
+	add(Star(StarSpec{Rays: 5, RayLen: 3}))
+	add(Tree(3, 2))
+	for _, maxW := range []Weight{1, 2, 5, 100, 1 << 40} {
+		for seed := int64(0); seed < 4; seed++ {
+			add(RandomConnected(40, 50, maxW, seed))
+		}
+	}
+	disc := MustNew(9)
+	for _, e := range [][3]Weight{{0, 1, 2}, {1, 2, 2}, {0, 2, 4}, {3, 4, 1}, {4, 5, 1}, {5, 3, 1}, {6, 7, 3}} {
+		if err := disc.AddEdge(NodeID(e[0]), NodeID(e[1]), e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	graphs = append(graphs, disc)
+	multi := MustNew(8)
+	for _, e := range [][3]Weight{
+		{0, 1, 5}, {1, 0, 2}, {0, 1, 9}, {1, 2, 3}, {2, 1, 1}, {0, 3, 3},
+		{3, 2, 1}, {2, 4, 4}, {4, 2, 2}, {4, 5, 1}, {3, 5, 7}, {5, 3, 5},
+		{5, 6, 2}, {6, 7, 2}, {7, 6, 1}, {4, 7, 4}, {0, 7, 20}, {7, 0, 8},
+	} {
+		if err := multi.AddEdge(NodeID(e[0]), NodeID(e[1]), e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	graphs = append(graphs, multi)
+	for _, g := range graphs {
+		if err := sameAsRef(g); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// FuzzTreeBuild decodes bytes into a small weighted graph (node count, then
+// edge triples with weights spread from 1 to 2^41) and compares every tree
+// with refTree.
+func FuzzTreeBuild(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 0, 4, 1})
+	f.Add([]byte{8, 0, 1, 3, 1, 2, 3, 0, 2, 9, 4, 5, 40, 5, 6, 40, 4, 6, 41})
+	f.Add([]byte{16, 0, 1, 7, 1, 2, 7, 2, 3, 7, 3, 0, 7, 0, 2, 8, 1, 3, 8, 9, 10, 1, 10, 11, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := MustNew(1 + int(data[0])%24)
+		n := byte(g.N())
+		for rest := data[1:]; len(rest) >= 3; rest = rest[3:] {
+			u, v := NodeID(rest[0]%n), NodeID(rest[1]%n)
+			if u == v {
+				continue
+			}
+			w := Weight(1) << (rest[2] % 42)
+			if rest[2]&0x80 != 0 {
+				w += Weight(rest[2] & 0x7)
+			}
+			if err := g.AddEdge(u, v, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sameAsRef(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTreeBuildAllocs is the deterministic cost gate on a cold tree build:
+// the tree, its dist and hop rows, and the heap's one scratch slice.
+func TestTreeBuildAllocs(t *testing.T) {
+	g, err := Grid(32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NodeID(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		_ = g.shortestPaths(src)
+		src = (src + 37) % NodeID(g.N())
+	})
+	if allocs > 4 {
+		t.Errorf("cold tree build allocates %.1f times, want at most 4", allocs)
+	}
+}
+
+var treeSink *spTree
+
+// BenchmarkTreeBuild times cold tree builds (bypassing the cache) on the
+// topologies of the repository benchmark.
+func BenchmarkTreeBuild(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		mk   func() (*Graph, error)
+	}{
+		{"grid32x32", func() (*Graph, error) { return Grid(32, 32) }},
+		{"line256", func() (*Graph, error) { return Line(256) }},
+		{"star1023x1", func() (*Graph, error) { return Star(StarSpec{Rays: 1023, RayLen: 1}) }},
+		{"cluster32x8x8", func() (*Graph, error) { return Cluster(ClusterSpec{Alpha: 32, Beta: 8, Gamma: 8}) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g, err := tc.mk()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				treeSink = g.shortestPaths(NodeID(i % g.N()))
+			}
+		})
 	}
 }

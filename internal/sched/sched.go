@@ -112,9 +112,7 @@ type RunResult struct {
 // schedulers. Both greedy and bucket maintain two engines: an incremental
 // default (persistent conflict index, sessionized batch substrate) and the
 // original from-scratch implementation kept as a byte-identical reference.
-// Embed this struct in a scheduler's Options to get the shared knob; the
-// schedulers' original per-package RebuildOracle fields remain as
-// deprecated forwards (either spelling selects the oracle).
+// Embed this struct in a scheduler's Options to get the shared knob.
 type EngineOptions struct {
 	// RebuildOracle selects the from-scratch reference engine instead of
 	// the incremental default. Both produce byte-identical schedules (the

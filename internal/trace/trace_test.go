@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"dtm/internal/core"
@@ -140,5 +141,29 @@ func TestValidateRejectsSilentlyMissingTx(t *testing.T) {
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewBufferString("{not json")); err == nil {
 		t.Fatal("garbage input: want error")
+	}
+}
+
+// TestInstanceRejectsUnroutableWeights pins that a trace whose edge weights
+// let a simple path reach graph.Infinite fails to load with the weight
+// named, instead of loading a graph whose far nodes look unreachable (or,
+// seen from the hub of the star case, a connected graph with no route
+// between two of its leaves).
+func TestInstanceRejectsUnroutableWeights(t *testing.T) {
+	for name, edges := range map[string]string{
+		"one-infinite-edge": `{"u":0,"v":1,"w":4611686018427387904},{"u":1,"v":2,"w":1}`,
+		"two-near-infinite": `{"u":0,"v":1,"w":4611686018427387903},{"u":1,"v":2,"w":4611686018427387903}`,
+		"star-leaves-sum":   `{"u":0,"v":1,"w":2305843009213693952},{"u":0,"v":2,"w":2305843009213693952}`,
+	} {
+		doc := `{"topology":"three","nodes":3,"edges":[` + edges + `],
+			"objects":[{"origin":1}],"txns":[{"node":2,"objects":[0]}],
+			"scheduler":"greedy","decisions":[{"tx":0,"exec":1}],"makespan":1}`
+		r, err := Read(bytes.NewBufferString(doc))
+		if err != nil {
+			t.Fatalf("%s: Read: %v", name, err)
+		}
+		if _, err := r.Instance(); err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("%s: Instance() = %v, want the edge weight rejected", name, err)
+		}
 	}
 }
