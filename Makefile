@@ -34,12 +34,13 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# race covers every package with a parallel compute phase: the two-phase
-# core.Sim step engine and its sched drivers, the shared internal/par
-# phase-runner, the parallel distnet/distbucket engines, the sweep
-# runner's worker pool, and the concurrently-read graph/depgraph
-# structures. The root run drives the parallel-vs-sequential identity
-# tests with the detector on.
+# race covers the shared internal/par phase-runner, the sched drivers
+# that hand it to schedulers, the parallel distnet/distbucket engines,
+# the sweep runner's worker pool, and the concurrently-read graph/depgraph
+# structures, plus core, window and engine, whose runs
+# SimOptions.Parallel must never change. The root run drives the
+# parallel-vs-sequential identity tests (greedy's parallel gather among
+# them) with the detector on.
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... \
 		./internal/par/... ./internal/distnet/... ./internal/distbucket/... \
@@ -59,7 +60,7 @@ bench:
 bench-quick: build
 	$(GO) run ./cmd/dtmbench -exp all -quick -benchjson BENCH_runner.json >/dev/null
 	$(GO) run ./cmd/dtmbench -quick -faultjson BENCH_faults.json
-	$(GO) run ./cmd/dtmbench -quick -parjson BENCH_par.json
+	$(GO) run -buildvcs=true ./cmd/dtmbench -quick -parjson BENCH_par.json
 	$(GO) run ./cmd/dtmbench -quick -streamjson BENCH_stream.json
 
 # bench-scale times the incremental conflict-index engine against the
@@ -69,12 +70,14 @@ bench-quick: build
 bench-scale: build
 	$(GO) run ./cmd/dtmbench -quick -scalejson BENCH_scale.json
 
-# bench-par times one large run (n=4096 quick; -quick off adds n=16384)
-# sequentially and under the two-phase step engine at P in {2,4,8},
-# asserts byte-identical decision logs, and writes min-of-runs wall-clock
-# and speedups per engine/topology row to BENCH_par.json.
+# bench-par times one large greedy run (n=4096 quick; -quick off adds
+# n=16384) sequentially and with its parallel gather at P in {2,4,8},
+# asserts byte-identical decision logs, and writes provenance plus
+# min-of-runs wall-clock and speedups to BENCH_par.json. It fails when
+# the P=2 speedup is below 1 on two or more procs. -buildvcs=true makes
+# go run stamp the commit into the provenance (it needs a git checkout).
 bench-par: build
-	$(GO) run ./cmd/dtmbench -quick -parjson BENCH_par.json
+	$(GO) run -buildvcs=true ./cmd/dtmbench -quick -parjson BENCH_par.json
 
 # soak is the bounded-memory endurance gate: ten million streaming
 # arrivals through the greedy engine on a 4096-node star, with the flat

@@ -10,7 +10,7 @@
 //	dtmbench -exp t11              # fault-injection sweep (IDs are case-insensitive)
 //	dtmbench -quick -faultjson BENCH_faults.json  # T11 rows as a JSON artifact
 //	dtmbench -quick -streamjson BENCH_stream.json # T14 stability frontier as a JSON artifact
-//	dtmbench -quick -parjson BENCH_par.json       # two-phase step engine: seq vs P in {2,4,8}
+//	dtmbench -quick -parjson BENCH_par.json       # greedy gather: seq vs P in {2,4,8}
 //
 // Trials within each experiment run on the internal/runner worker pool.
 // -parallel selects the pool size: 0 (default) uses GOMAXPROCS, 1 runs
@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -56,7 +57,7 @@ func main() {
 		faultjson  = flag.String("faultjson", "", "run the T11 fault sweep and write its rows as JSON to FILE")
 		streamjson = flag.String("streamjson", "", "run the T14 stability frontier and write its rows as JSON to FILE")
 		scalejson  = flag.String("scalejson", "", "benchmark incremental vs rebuild engines per arrival, write JSON to FILE")
-		parjson    = flag.String("parjson", "", "benchmark sequential vs two-phase parallel step engine, write JSON to FILE")
+		parjson    = flag.String("parjson", "", "benchmark greedy's sequential vs parallel gather, write JSON to FILE (fails if P=2 loses on >= 2 procs)")
 	)
 	flag.Parse()
 	switch {
@@ -366,8 +367,8 @@ type parVariant struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// parRow compares the sequential engine against the two-phase parallel
-// step engine on one (engine, topology, n) cell.
+// parRow compares a sequential run against runs whose scheduler gathers
+// over a phase-runner of P workers, on one (engine, topology, n) cell.
 type parRow struct {
 	Engine     string       `json:"engine"`
 	Topology   string       `json:"topology"`
@@ -378,118 +379,95 @@ type parRow struct {
 	Identical  bool         `json:"identical"`
 }
 
-// runParBench times large single runs (n=4096 quick; -quick off adds
-// n=16384) under the sequential engine and under the two-phase step
-// engine at P in {2,4,8}, asserts the externalized outputs (decision log
-// + final Result) are byte-identical across all widths, and writes
-// min-of-runs wall-clock plus speedups to path.
-//
-// Every timed iteration builds a fresh graph: the shortest-path tree
-// caches are where most of the parallel win lives (concurrent per-source
-// builds under the read/write build locks), so letting trees persist
-// across iterations would time only the residue. Workload generation is
-// deterministic per seed, so each iteration replays the same instance.
-func runParBench(path string, quick bool) error {
-	type rowDef struct {
-		engine, topology string
-		n                int
-		mkGraph          func() (*graph.Graph, error)
-		cfg              workload.Config
-		mkSched          func() sched.Scheduler // nil: replay the greedy decision log
-	}
-	type size struct{ n, side int }
-	sizes := []size{{4096, 64}}
-	if !quick {
-		sizes = append(sizes, size{16384, 128})
-	}
-	var defs []rowDef
-	for _, sz := range sizes {
-		sz := sz
-		gridFn := func() (*graph.Graph, error) { return graph.Grid(sz.side, sz.side) }
-		lineFn := func() (*graph.Graph, error) { return graph.Line(sz.n) }
-		gridName := fmt.Sprintf("grid(%d,%d)", sz.side, sz.side)
-		greedyCfg := workload.Config{
-			K: 2, NumObjects: sz.n / 8, Rounds: 1,
-			Arrival: workload.ArrivalBatch, Seed: 1,
+// parProvenance says what produced a BENCH_par.json: the source revision
+// (from the binary's build info; go run stamps it only with
+// -buildvcs=true, otherwise it reads "unknown"), the toolchain, and the
+// parallelism the run had.
+type parProvenance struct {
+	VCSRevision string `json:"vcs_revision"`
+	VCSModified string `json:"vcs_modified"`
+	GoVersion   string `json:"go_version"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	NProc       int    `json:"nproc"`
+}
+
+func buildProvenance() parProvenance {
+	p := parProvenance{VCSRevision: "unknown", VCSModified: "unknown", GoVersion: runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NProc: runtime.NumCPU()}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				p.VCSRevision = s.Value
+			case "vcs.modified":
+				p.VCSModified = s.Value
+			}
 		}
-		defs = append(defs,
-			rowDef{"greedy", gridName, sz.n, gridFn, greedyCfg,
-				func() sched.Scheduler { return engine.NewGreedy(greedy.Options{}) }},
-			rowDef{"bucket-tour", fmt.Sprintf("line(%d)", sz.n), sz.n, lineFn,
-				workload.Config{
-					K: 2, NumObjects: sz.n / 2, Rounds: 1,
-					Arrival: workload.ArrivalBatch, Seed: 1,
-				},
-				func() sched.Scheduler { return engine.NewBucket(bucket.Options{Batch: batch.Tour{}}) }},
-			rowDef{"replay-greedy", gridName, sz.n, gridFn, greedyCfg, nil},
-		)
+	}
+	return p
+}
+
+// runParBench times the one central parallel site — greedy's
+// forbidden-interval gather — on large single runs (grid(64,64), n=4096
+// quick; -quick off adds grid(128,128), n=16384): sequentially and with
+// SimOptions.Parallel at P in {2,4,8}. It asserts the externalized
+// outputs (decision log + final Result) are byte-identical across all
+// widths and writes min-of-runs wall-clock plus speedups to path. With
+// GOMAXPROCS >= 2 it fails when a row's P=2 speedup is below 1: a kept
+// parallel site must pay for itself.
+//
+// Every timed iteration builds a fresh graph: the gather's distance
+// lookups build shortest-path trees concurrently under the per-source
+// build locks, which is where most of the parallel win lives, so letting
+// trees persist across iterations would time only the residue. Workload
+// generation is deterministic per seed, so each iteration replays the
+// same instance.
+func runParBench(path string, quick bool) error {
+	sides := []int{64}
+	if !quick {
+		sides = append(sides, 128)
 	}
 	widths := []int{2, 4, 8}
 	var rows []parRow
-	for _, def := range defs {
-		def := def
-		// For the replay row, capture the greedy decision log once from an
-		// untimed sequential run; the timed runs then drive the raw engine
-		// with no scheduler in the loop.
-		var decisions []core.Decision
-		if def.mkSched == nil {
-			g, err := def.mkGraph()
-			if err != nil {
-				return err
-			}
-			in, err := workload.Generate(g, def.cfg)
-			if err != nil {
-				return err
-			}
-			rr, err := sched.Run(in, engine.NewGreedy(greedy.Options{}), sched.Options{SnapshotEvery: -1})
-			if err != nil {
-				return err
-			}
-			decisions = rr.Decisions
+	for _, side := range sides {
+		n := side * side
+		cfg := workload.Config{
+			K: 2, NumObjects: n / 8, Rounds: 1,
+			Arrival: workload.ArrivalBatch, Seed: 1,
 		}
 		// One iteration: fresh graph (cold tree caches), deterministic
 		// instance, one full run. Returns the run's externalized bytes for
 		// the cross-width identity check.
-		iter := func(parallel int) ([]byte, time.Duration, error) {
-			g, err := def.mkGraph()
+		iter := func(parallel int) ([]byte, time.Duration, int, error) {
+			g, err := graph.Grid(side, side)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
-			in, err := workload.Generate(g, def.cfg)
+			in, err := workload.Generate(g, cfg)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
-			var out interface{}
 			start := time.Now()
-			if def.mkSched != nil {
-				rr, err := sched.Run(in, def.mkSched(), sched.Options{
-					SnapshotEvery: -1,
-					Sim:           core.SimOptions{Parallel: parallel},
-				})
-				if err != nil {
-					return nil, 0, err
-				}
-				out = struct {
-					Decisions []core.Decision
-					Result    *core.Result
-				}{rr.Decisions, rr.Result}
-			} else {
-				res, err := core.Replay(in, decisions, core.SimOptions{Parallel: parallel})
-				if err != nil {
-					return nil, 0, err
-				}
-				out = res
+			rr, err := sched.Run(in, engine.NewGreedy(greedy.Options{}), sched.Options{
+				SnapshotEvery: -1,
+				Sim:           core.SimOptions{Parallel: parallel},
+			})
+			if err != nil {
+				return nil, 0, 0, err
 			}
 			d := time.Since(start)
-			data, err := json.Marshal(out)
-			return data, d, err
+			data, err := json.Marshal(struct {
+				Decisions []core.Decision
+				Result    *core.Result
+			}{rr.Decisions, rr.Result})
+			return data, d, len(in.Txns), err
 		}
 		// Min-of-runs: one warm-up (pools, heap growth — trees are rebuilt
 		// cold every iteration regardless), then keep the fastest of a
 		// small fixed budget per width.
-		measure := func(parallel int) ([]byte, time.Duration, error) {
-			if _, _, err := iter(parallel); err != nil {
-				return nil, 0, err
+		measure := func(parallel int) ([]byte, time.Duration, int, error) {
+			if _, _, _, err := iter(parallel); err != nil {
+				return nil, 0, 0, err
 			}
 			const (
 				minIters  = 3
@@ -498,41 +476,29 @@ func runParBench(path string, quick bool) error {
 			)
 			best := time.Duration(1<<63 - 1)
 			var out []byte
+			var txns int
 			for begin, iters := time.Now(), 0; iters < minIters ||
 				(time.Since(begin) < timeSlice && iters < maxIters); iters++ {
-				data, d, err := iter(parallel)
+				data, d, nt, err := iter(parallel)
 				if err != nil {
-					return nil, 0, err
+					return nil, 0, 0, err
 				}
 				if d < best {
 					best = d
 				}
-				out = data
+				out, txns = data, nt
 			}
-			return out, best, nil
+			return out, best, txns, nil
 		}
-		fmt.Fprintf(os.Stderr, "dtmbench: par %s/%s n=%d sequential...\n", def.engine, def.topology, def.n)
-		seqOut, seqBest, err := measure(0)
+		row := parRow{Engine: "greedy", Topology: fmt.Sprintf("grid(%d,%d)", side, side), N: n, Identical: true}
+		fmt.Fprintf(os.Stderr, "dtmbench: par %s/%s n=%d sequential...\n", row.Engine, row.Topology, n)
+		seqOut, seqBest, txns, err := measure(0)
 		if err != nil {
 			return err
 		}
-		row := parRow{
-			Engine: def.engine, Topology: def.topology, N: def.n,
-			SeqSeconds: seqBest.Seconds(), Identical: true,
-		}
-		{
-			g, err := def.mkGraph()
-			if err != nil {
-				return err
-			}
-			in, err := workload.Generate(g, def.cfg)
-			if err != nil {
-				return err
-			}
-			row.Txns = len(in.Txns)
-		}
+		row.SeqSeconds, row.Txns = seqBest.Seconds(), txns
 		for _, p := range widths {
-			parOut, parBest, err := measure(p)
+			parOut, parBest, _, err := measure(p)
 			if err != nil {
 				return err
 			}
@@ -548,21 +514,21 @@ func runParBench(path string, quick bool) error {
 		}
 		if !row.Identical {
 			return fmt.Errorf("par bench %s/%s n=%d: parallel output differs from sequential",
-				def.engine, def.topology, def.n)
+				row.Engine, row.Topology, n)
 		}
 		rows = append(rows, row)
 	}
-	procs := runtime.GOMAXPROCS(0)
+	prov := buildProvenance()
 	report := struct {
-		// Procs and Note lead the artifact so a single-core run is
+		// Provenance and Note lead the artifact so a single-core run is
 		// self-describing: speedup columns from a GOMAXPROCS=1 container
-		// measure only the two-phase engine's overhead, never its win.
-		Procs int      `json:"procs"`
-		Note  string   `json:"note,omitempty"`
-		Quick bool     `json:"quick"`
-		Rows  []parRow `json:"rows"`
-	}{Quick: quick, Procs: procs, Rows: rows}
-	if procs == 1 {
+		// measure only the gather's overhead, never its win.
+		Provenance parProvenance `json:"provenance"`
+		Note       string        `json:"note,omitempty"`
+		Quick      bool          `json:"quick"`
+		Rows       []parRow      `json:"rows"`
+	}{Provenance: prov, Quick: quick, Rows: rows}
+	if prov.GOMAXPROCS == 1 {
 		report.Note = "single-core run (GOMAXPROCS=1): parallel widths share one CPU, so speedups reflect engine overhead only — rerun on multi-core hardware for real curves"
 		fmt.Fprintf(os.Stderr, "dtmbench: WARNING: %s\n", report.Note)
 	}
@@ -573,7 +539,15 @@ func runParBench(path string, quick bool) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "dtmbench: %d parallel-engine rows written to %s\n", len(rows), path)
+	fmt.Fprintf(os.Stderr, "dtmbench: %d parallel rows written to %s\n", len(rows), path)
+	if prov.GOMAXPROCS >= 2 {
+		for _, row := range rows {
+			if v := row.Parallel[0]; v.Speedup < 1 {
+				return fmt.Errorf("par bench %s/%s n=%d: P=%d speedup %.2fx below 1 on %d procs: the parallel site does not pay for itself",
+					row.Engine, row.Topology, row.N, v.Workers, v.Speedup, prov.GOMAXPROCS)
+			}
+		}
+	}
 	return nil
 }
 

@@ -142,7 +142,7 @@ func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 }
 
 // isParRunnerMap reports whether fn is (*par.Runner).Map — the parallel
-// compute fan-out of the two-phase step engine. It is its own sink kind:
+// compute fan-out of a compute/merge phase. It is its own sink kind:
 // the merge phase that follows a Map consumes per-index results in index
 // order, so handing Map an index space derived from a map iteration
 // bakes the randomized order into the phase boundary.

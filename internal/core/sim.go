@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dtm/internal/graph"
 	"dtm/internal/obs"
-	"dtm/internal/par"
 	"dtm/internal/pq"
 )
 
@@ -35,14 +35,14 @@ type SimOptions struct {
 	// events to its sink. Nil disables instrumentation at the cost of one
 	// nil-check per event site.
 	Obs *obs.Metrics
-	// Parallel bounds the worker count of the two-phase step engine: each
-	// step's independent read-only work (execution-feasibility checks,
-	// dispatch route planning) fans out over the workers, and every state
-	// mutation — pending-queue edits, edge acquisition, obs emission — is
-	// applied afterwards on the calling goroutine in canonical event
-	// order, so a parallel run is byte-identical to a sequential one.
-	// 0 and 1 mean sequential (the default), negative means GOMAXPROCS.
-	// See DESIGN.md §12 for the phase contract.
+	// Parallel bounds the worker count of the scheduler's gather phase:
+	// the sched drivers turn it into the run's phase-runner (sched.Env.Par),
+	// over which the greedy engine fans out its per-transaction
+	// forbidden-interval gathers. The Sim itself steps sequentially.
+	// Every decision is still made in the sequential engine's order, so a
+	// parallel run is byte-identical to a sequential one. 0 and 1 mean
+	// sequential (the default), negative means GOMAXPROCS. See DESIGN.md
+	// §12 for the per-site verdicts.
 	Parallel int
 }
 
@@ -197,15 +197,10 @@ type Sim struct {
 	dirty  map[ObjID]bool
 	failed error
 
-	// Two-phase step engine (SimOptions.Parallel). par is nil when
-	// sequential; the scratch slices below are reused across steps: the
-	// timestamp's batched exec events with their computed verdicts, and
-	// the dirty-object IDs with their dispatch plans.
-	par       *par.Runner
+	// Per-step scratch reused across steps: the timestamp's batched exec
+	// events, and the dirty-object IDs in dispatch order.
 	execBatch []TxID
-	verdicts  []execVerdict
 	dispIDs   []ObjID
-	plans     []dispatchPlan
 
 	obs *obs.Metrics
 	met simMetrics
@@ -238,7 +233,6 @@ func NewSim(in *Instance, opts SimOptions) (*Sim, error) {
 		due:       make(map[TxID]bool),
 		obs:       opts.Obs,
 		met:       newSimMetrics(opts.Obs),
-		par:       par.FromOption(opts.Parallel),
 	}
 	for i := range s.exec {
 		s.exec[i] = -1
@@ -434,8 +428,8 @@ func (s *Sim) AdvanceTo(t Time) error {
 			case prioExec:
 				// Exec events sort after every receive at this timestamp,
 				// so the whole batch sees the step's final object
-				// positions; collect it and run the two-phase check once
-				// the drain finishes.
+				// positions; collect it and check it once the drain
+				// finishes.
 				s.execBatch = append(s.execBatch, TxID(e.id))
 			}
 		}
@@ -450,55 +444,36 @@ func (s *Sim) AdvanceTo(t Time) error {
 	return nil
 }
 
-// execVerdict is the read-only outcome of checking one transaction at
-// its execution step: either every object is present (ok) or the first
-// missing one with its violation detail. Verdicts within a batch are
-// independent — commits mutate pending queues and done flags, never the
-// position fields the check reads — so the compute phase may evaluate
-// them in any order.
-type execVerdict struct {
-	ok     bool
-	obj    ObjID
-	detail string
-}
-
-func (s *Sim) checkTx(tx TxID) execVerdict {
+// checkTx reports the first of tx's objects missing from its node at the
+// current step, or nil when all are present. Commits earlier in the same
+// batch edit pending queues and done flags, never the positions read here.
+func (s *Sim) checkTx(tx TxID) *ViolationError {
 	t := s.txn(tx)
 	for _, o := range t.Objects {
 		os := &s.objs[o]
+		var detail string
 		switch {
 		case !os.exists:
-			return execVerdict{obj: o, detail: "object not created yet"}
+			detail = "object not created yet"
 		case os.inTransit:
-			return execVerdict{obj: o, detail: fmt.Sprintf("object in transit to node %d (arrives t=%d)", os.next, os.arrive)}
+			detail = fmt.Sprintf("object in transit to node %d (arrives t=%d)", os.next, os.arrive)
 		case os.at != t.Node:
-			return execVerdict{obj: o, detail: fmt.Sprintf("object at node %d, transaction at node %d", os.at, t.Node)}
+			detail = fmt.Sprintf("object at node %d, transaction at node %d", os.at, t.Node)
+		default:
+			continue
 		}
+		return &ViolationError{Tx: tx, Obj: o, At: s.now, Detail: detail}
 	}
-	return execVerdict{ok: true}
+	return nil
 }
 
-// execPhase runs the timestamp's batched exec events through the
-// two-phase engine: verdicts computed in parallel (read-only), then
-// applied in event order — commit, elastic deferral, or the step's
-// first violation.
+// execPhase checks and applies the timestamp's batched exec events in
+// event order: commit, elastic deferral, or the step's first violation.
 func (s *Sim) execPhase() error {
-	n := len(s.execBatch)
-	if n == 0 {
-		return nil
-	}
-	if cap(s.verdicts) < n {
-		s.verdicts = make([]execVerdict, n)
-	}
-	verdicts := s.verdicts[:n]
-	batch := s.execBatch
-	s.par.Map(n, func(i, _ int) {
-		verdicts[i] = s.checkTx(batch[i])
-	})
 	defer func() { s.execBatch = s.execBatch[:0] }()
-	for i, tx := range batch {
-		v := verdicts[i]
-		if v.ok {
+	for _, tx := range s.execBatch {
+		v := s.checkTx(tx)
+		if v == nil {
 			s.commitTx(tx)
 			continue
 		}
@@ -509,7 +484,7 @@ func (s *Sim) execPhase() error {
 			continue
 		}
 		s.met.violations.Inc()
-		return &ViolationError{Tx: tx, Obj: v.obj, At: s.now, Detail: v.detail}
+		return v
 	}
 	return nil
 }
@@ -583,9 +558,7 @@ func (s *Sim) allPresent(tx TxID) bool {
 
 // dispatchDirty performs the "forward objects" action for every object
 // whose situation changed at the current step, in object-ID order (the
-// order matters once links have bounded capacity). Route planning —
-// head-user lookup, NextHop, edge weight — is read-only per object and
-// fans out over the workers; the applies run afterwards in ID order.
+// order matters once links have bounded capacity).
 func (s *Sim) dispatchDirty() {
 	if len(s.dirty) == 0 {
 		return
@@ -594,81 +567,48 @@ func (s *Sim) dispatchDirty() {
 	for o := range s.dirty {
 		ids = append(ids, o)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, o := range ids {
 		delete(s.dirty, o)
-	}
-	if cap(s.plans) < len(ids) {
-		s.plans = make([]dispatchPlan, len(ids))
-	}
-	plans := s.plans[:len(ids)]
-	s.par.Map(len(ids), func(i, _ int) {
-		plans[i] = s.planDispatch(ids[i])
-	})
-	for i := range plans {
-		s.applyDispatch(plans[i])
+		s.dispatch(o)
 	}
 	s.dispIDs = ids[:0]
 }
 
-// dispatchPlan is the read-only route computation for one dirty object:
-// whether it should move, and if so along which edge at what weight. A
-// plan never reads link occupancy — the capacity check belongs to the
-// apply phase, because earlier applies in the same batch change it. A
-// plan stays valid at apply time: applies mutate only their own object's
-// state and the edge maps, never another object's position or pending
-// queue.
-type dispatchPlan struct {
-	obj  ObjID
-	move bool
-	hop  graph.NodeID
-	key  edgeKey
-	w    graph.Weight
-}
-
-func (s *Sim) planDispatch(o ObjID) dispatchPlan {
-	p := dispatchPlan{obj: o}
+// dispatch starts object o along the next edge toward its head user, or
+// queues it at that edge when the link is saturated.
+func (s *Sim) dispatch(o ObjID) {
 	os := &s.objs[o]
 	if !os.exists || os.inTransit || os.queued || len(os.pending) == 0 {
-		return p
+		return
 	}
 	target := s.txn(os.pending[0]).Node
 	if os.at == target {
-		return p // wait at the requester until it executes
+		return // wait at the requester until it executes
 	}
-	p.move = true
-	p.hop = s.in.G.NextHop(os.at, target)
-	p.key = mkEdgeKey(os.at, p.hop)
-	p.w, _ = s.in.G.EdgeWeight(os.at, p.hop)
-	return p
-}
-
-func (s *Sim) applyDispatch(p dispatchPlan) {
-	if !p.move {
-		return
-	}
-	o := p.obj
-	os := &s.objs[o]
-	if cap := s.opts.LinkCapacity; cap > 0 && s.edgeBusy[p.key] >= cap {
+	hop := s.in.G.NextHop(os.at, target)
+	key := mkEdgeKey(os.at, hop)
+	w, _ := s.in.G.EdgeWeight(os.at, hop)
+	if cap := s.opts.LinkCapacity; cap > 0 && s.edgeBusy[key] >= cap {
 		// The link is saturated: queue in deterministic (FIFO) order and
 		// re-dispatch when a traverser arrives.
 		os.queued = true
-		os.queuedOn = p.key
-		s.edgeQueue[p.key] = append(s.edgeQueue[p.key], o)
+		os.queuedOn = key
+		s.edgeQueue[key] = append(s.edgeQueue[key], o)
 		s.met.linkQueued.Inc()
 		return
 	}
-	s.edgeBusy[p.key]++
+	s.edgeBusy[key]++
 	os.inTransit = true
-	os.next = p.hop
-	os.curEdge = p.key
-	os.arrive = s.now + Time(p.w*s.opts.slow())
-	os.traveled += p.w
+	os.next = hop
+	os.curEdge = key
+	os.arrive = s.now + Time(w*s.opts.slow())
+	os.traveled += w
 	s.met.moves.Inc()
-	s.met.travel.Add(int64(p.w))
-	s.met.hops.Observe(int64(p.w))
+	s.met.travel.Add(int64(w))
+	s.met.hops.Observe(int64(w))
 	if s.obs != nil {
-		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "move", Obj: int(o), Node: int(p.hop), Value: int64(p.w)})
+		s.obs.Emit(obs.Event{At: int64(s.now), Kind: "move", Obj: int(o), Node: int(hop), Value: int64(w)})
 	}
 	s.push(event{at: os.arrive, prio: prioArrive, id: int(o)})
 }

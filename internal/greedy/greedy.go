@@ -17,7 +17,9 @@
 package greedy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dtm/internal/coloring"
@@ -82,11 +84,13 @@ type Greedy struct {
 	// Incremental engine (default): the persistent conflict index.
 	idx     *depgraph.Index
 	scratch *depgraph.Scratch
-	// par, when non-nil, fans the per-transaction gather (forbidden
-	// intervals, bound terms) of large batches out over the run's
-	// phase-runner; every Decide/metric/audit mutation stays in the
-	// ID-ordered merge, so schedules are byte-identical to sequential.
+	// par fans the per-transaction gather (forbidden intervals, bound
+	// terms) out over the run's phase-runner (nil runs it inline); every
+	// Decide/metric/audit mutation stays in the ID-ordered merge, so
+	// schedules are byte-identical at every worker count. gs is the
+	// gather output, reused across batches.
 	par *par.Runner
+	gs  []gathered
 
 	// Rebuild oracle: per-arrival live tracking.
 	live     []core.TxID                // scheduled and possibly still live
@@ -214,100 +218,24 @@ func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) er
 	// new-new edges explicitly before its coloring loop). Color in ID
 	// order, exactly like the oracle.
 	sorted := append(sc.Txns[:0], txns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	slices.SortFunc(sorted, func(a, b *core.Transaction) int { return cmp.Compare(a.ID, b.ID) })
 	slots := sc.Slots[:0]
 	for _, tx := range sorted {
 		slots = append(slots, g.idx.Insert(tx))
 	}
 
-	var err error
-	if g.par != nil && len(sorted) >= parGatherMin {
-		err = g.colorBatchParallel(sorted, slots, now, sc)
-	} else {
-		err = g.colorBatchSeq(sorted, slots, now, sc)
-	}
+	err := g.colorBatch(sorted, slots, now, sc)
 	sc.Slots = slots[:0]
 	sc.Txns = sorted[:0]
 	return err
 }
 
-// colorBatchSeq colors an inserted batch in ID order, gathering each
-// transaction's forbidden intervals right before its decision.
-func (g *Greedy) colorBatchSeq(sorted []*core.Transaction, slots []depgraph.Slot, now core.Time, sc *depgraph.Scratch) error {
-	var err error
-	for i, tx := range sorted {
-		// Gather the forbidden intervals and the Δ/Γ bound terms from the
-		// edges incident to tx in H'_t. Weight-0 edges impose no
-		// constraint and are dropped (as coloring.AddEdge drops them).
-		forb := sc.Forb[:0]
-		var deg int
-		var wdeg graph.Weight
-		if g.opts.Hub != nil {
-			w := g.env.G.Dist(*g.opts.Hub, tx.Node)
-			if g.opts.Uniform && w%g.beta != 0 {
-				w = (w/g.beta + 1) * g.beta
-			}
-			if w > 0 {
-				deg++
-				wdeg += w
-				forb = append(forb, coloring.Forbid(0, w))
-			}
-		}
-		for _, o := range tx.Objects {
-			// Current-transaction (Z) edge: a pure floor at pre-color 0.
-			if w := g.zWeight(o, tx.Node, now); w > 0 {
-				deg++
-				wdeg += w
-				forb = append(forb, coloring.Forbid(0, w))
-			}
-		}
-		nbrs := g.idx.AppendNeighbors(slots[i], sc.Nbrs[:0])
-		for _, nb := range nbrs {
-			w := g.conflictWeight(tx.Node, nb.Node)
-			if w == 0 {
-				continue
-			}
-			// Same-batch neighbors not yet colored still count toward the
-			// bound, like uncolored vertices in the rebuild graph.
-			deg++
-			wdeg += w
-			if nb.Exec != depgraph.Undecided {
-				forb = append(forb, coloring.Forbid(coloring.Color(nb.Exec-now), w))
-			}
-		}
-		sc.Nbrs = nbrs[:0]
-
-		var c, bound coloring.Color
-		if g.opts.Uniform {
-			c = coloring.SmallestValidMultiple(forb, g.beta)
-			bound = coloring.Color(wdeg) + coloring.Color(g.beta)
-		} else {
-			c = coloring.SmallestValid(forb)
-			bound = 2*coloring.Color(wdeg) - coloring.Color(deg)
-			if bound < 0 {
-				bound = 0
-			}
-		}
-		sc.Forb = forb[:0]
-		g.recordAudit(c, bound)
-		if err = g.env.Sim.Decide(tx.ID, now+core.Time(c)); err != nil {
-			break
-		}
-		g.idx.SetDecided(slots[i], now+core.Time(c))
-	}
-	return err
-}
-
-// parGatherMin is the batch size below which the parallel gather is not
-// worth borrowing per-worker scratches.
-const parGatherMin = 4
-
-// gathered is one transaction's compute-phase output: spans into its
+// gathered is one transaction's gather-phase output: spans into its
 // worker's scratch arenas — the forbidden intervals known before any of
 // the batch is decided (Forb), and the same-batch smaller-ID neighbors
 // whose intervals only exist after the merge decides them (Ints, as
 // (txID, weight) pairs) — plus the Δ/Γ bound terms, which are complete
-// at compute time because undecided neighbors count toward them too.
+// at gather time because undecided neighbors count toward them too.
 type gathered struct {
 	worker  int
 	forbOff int
@@ -318,23 +246,28 @@ type gathered struct {
 	wdeg    graph.Weight
 }
 
-// colorBatchParallel is colorBatchSeq split on the DESIGN.md §12 phase
-// boundary: the per-transaction gathers (graph distances, Z edges,
-// conflict-index neighborhoods) are read-only once the whole batch is
-// inserted, so they fan out over the phase-runner into per-worker
-// arenas; the merge then walks the batch in ID order, resolves the
-// pending same-batch intervals from the decisions it has just made, and
-// performs the exact audit/Decide/SetDecided sequence of the sequential
-// engine. The coloring sweeps sort their interval set internally, so
-// appending the pending intervals last cannot change any color.
-func (g *Greedy) colorBatchParallel(sorted []*core.Transaction, slots []depgraph.Slot, now core.Time, sc *depgraph.Scratch) error {
+// colorBatch colors an inserted batch in two phases (DESIGN.md §12). The
+// per-transaction gathers (graph distances, Z edges, conflict-index
+// neighborhoods) are read-only once the whole batch is inserted, so they
+// fan out over the run's phase-runner into per-worker arenas; on the nil
+// runner they run inline. The merge then walks the batch in ID order,
+// resolves the pending same-batch intervals from the decisions it has
+// just made, and performs the audit/Decide/SetDecided sequence. The
+// coloring sweeps sort their interval set internally, so appending the
+// pending intervals last cannot change any color.
+func (g *Greedy) colorBatch(sorted []*core.Transaction, slots []depgraph.Slot, now core.Time, sc *depgraph.Scratch) error {
 	ss := depgraph.GetScratchN(g.par.Workers())
 	defer depgraph.ReleaseAll(ss)
-	gs := make([]gathered, len(sorted))
+	if cap(g.gs) < len(sorted) {
+		g.gs = make([]gathered, len(sorted))
+	}
+	gs := g.gs[:len(sorted)]
 	g.par.Map(len(sorted), func(i, w int) {
 		tx := sorted[i]
 		wsc := ss[w]
 		gr := gathered{worker: w, forbOff: len(wsc.Forb), pendOff: len(wsc.Ints) / 2}
+		// Weight-0 edges impose no constraint and are dropped (as
+		// coloring.AddEdge drops them).
 		forb := wsc.Forb
 		if g.opts.Hub != nil {
 			hw := g.env.G.Dist(*g.opts.Hub, tx.Node)
@@ -348,6 +281,7 @@ func (g *Greedy) colorBatchParallel(sorted []*core.Transaction, slots []depgraph
 			}
 		}
 		for _, o := range tx.Objects {
+			// Current-transaction (Z) edge: a pure floor at pre-color 0.
 			if zw := g.zWeight(o, tx.Node, now); zw > 0 {
 				gr.deg++
 				gr.wdeg += zw
@@ -360,6 +294,8 @@ func (g *Greedy) colorBatchParallel(sorted []*core.Transaction, slots []depgraph
 			if cw == 0 {
 				continue
 			}
+			// Same-batch neighbors not yet colored still count toward the
+			// bound, like uncolored vertices in the rebuild graph.
 			gr.deg++
 			gr.wdeg += cw
 			switch {

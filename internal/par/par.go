@@ -1,6 +1,10 @@
-// Package par is the shared phase-runner behind every parallel execution
-// path in the engine: the two-phase core.Sim step loop, the sched drivers'
-// parallel arrival evaluation, and the distnet goroutine-per-node engine.
+// Package par is the shared phase-runner behind the two parallel
+// execution paths that pay for themselves: the greedy scheduler's
+// per-batch forbidden-interval gather (the sched drivers build its runner
+// from SimOptions.Parallel) and the distnet goroutine-per-node engine.
+// Sites that lost at two workers — core.Sim's exec and dispatch steps,
+// the window engine's round gather, bucket's tree prewarm — were deleted;
+// DESIGN.md §12 keeps the per-site verdicts.
 //
 // The pattern all of them follow is compute/merge: a step's independent,
 // read-only work fans out across a bounded worker set, and every state
@@ -24,7 +28,7 @@
 // channels, no metrics. Workers are spawned per Map call and claim fixed
 // chunks of the index space from an atomic cursor, so a call costs a
 // handful of goroutine launches and one atomic per chunk — cheap enough
-// for per-simulation-step use — and an idle runner costs nothing. It
+// for per-batch use — and an idle runner costs nothing. It
 // also keeps the runner observability-free by construction: a Map call
 // cannot perturb a run's metric state, which the byte-identity contract
 // between sequential and parallel runs depends on.

@@ -175,6 +175,7 @@ func RunClosedLoop(g *graph.Graph, cfg ClosedLoopConfig, s Scheduler, opts Optio
 	}
 
 	snaps, err := drive(sim, in, s, stream, dm, driveOpts{snapEvery: opts.SnapshotEvery, obs: opts.Obs})
+	dm.setFinalLive(sim)
 	rr := BuildResult(sim, s.Name()+"/closed-loop", snaps, opts.Obs)
 	if err != nil {
 		rr.Failed = true

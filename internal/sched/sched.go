@@ -35,12 +35,12 @@ type Env struct {
 	// not retain it past the run. May be nil under custom drivers;
 	// schedulers fall back to fetching their own.
 	Scratch *depgraph.Scratch
-	// Par is the run's phase-runner, shared with the Sim's two-phase step
-	// engine (nil = sequential, the default). A scheduler may fan its own
-	// per-arrival read-only work out over it — gather phases against the
-	// conflict index, distance prewarms — provided every Sim/obs mutation
-	// still happens on the driver goroutine in the sequential engine's
-	// order (DESIGN.md §12). Schedulers whose decisions depend on
+	// Par is the run's phase-runner, built from SimOptions.Parallel (nil =
+	// sequential, the default). A scheduler may fan per-arrival read-only
+	// work out over it — greedy's forbidden-interval gather against the
+	// conflict index is the one that does — provided every Sim/obs
+	// mutation still happens on the driver goroutine in the sequential
+	// engine's order (DESIGN.md §12). Schedulers whose decisions depend on
 	// mid-batch mutation order must ignore it.
 	Par *par.Runner
 }
@@ -142,7 +142,7 @@ type driverMetrics struct {
 	snaps    *obs.Counter   // sched.snapshots: ratio snapshots taken
 	snapLive *obs.Histogram // sched.snapshot_live: live-set size per snapshot
 	snapNs   *obs.Histogram // sched.snapshot_ns: wall-clock cost of a snapshot
-	live     *obs.Gauge     // sched.live_txns: live-set size at snapshots
+	live     *obs.Gauge     // sched.live_txns: live-set size at snapshots and at the end
 }
 
 func newDriverMetrics(m *obs.Metrics) driverMetrics {
@@ -176,6 +176,22 @@ func observedSnapshot(sim *core.Sim, t core.Time, m *obs.Metrics, dm driverMetri
 		dm.live.Set(int64(len(sn.Live)))
 	}
 	return sn
+}
+
+// setFinalLive sets sched.live_txns to the live-set size when the run
+// ends — transactions arrived by now but not executed — so the gauge does
+// not keep the last snapshot's value: 0 after a clean drain.
+func (dm driverMetrics) setFinalLive(sim *core.Sim) {
+	if dm.live == nil {
+		return
+	}
+	live := 0
+	for _, tx := range sim.Instance().Txns {
+		if _, done := sim.Executed(tx.ID); !done && tx.Arrival <= sim.Now() {
+			live++
+		}
+	}
+	dm.live.Set(int64(live))
 }
 
 // Run executes the scheduler against the instance to completion and
@@ -218,7 +234,7 @@ func Run(in *core.Instance, s Scheduler, opts Options) (*RunResult, error) {
 			break
 		}
 		if err := sim.AdvanceTo(next); err != nil {
-			return failedResult(sim, s, snaps, opts.Obs, err), err
+			return failedResult(sim, s, snaps, opts.Obs, dm, err), err
 		}
 		isArrival := ai < len(arrivals) && arrivals[ai] == next
 		if isArrival {
@@ -229,7 +245,7 @@ func Run(in *core.Instance, s Scheduler, opts Options) (*RunResult, error) {
 			dm.arrivals.Add(int64(len(txns)))
 			if err := s.OnArrive(txns); err != nil {
 				err = fmt.Errorf("sched: %s OnArrive(t=%d): %w", s.Name(), next, err)
-				return failedResult(sim, s, snaps, opts.Obs, err), err
+				return failedResult(sim, s, snaps, opts.Obs, dm, err), err
 			}
 			ai++
 		}
@@ -237,7 +253,7 @@ func Run(in *core.Instance, s Scheduler, opts Options) (*RunResult, error) {
 		for guard := 0; ; guard++ {
 			if guard > 1<<20 {
 				err := fmt.Errorf("sched: %s keeps requesting wake at t=%d without progress", s.Name(), next)
-				return failedResult(sim, s, snaps, opts.Obs, err), err
+				return failedResult(sim, s, snaps, opts.Obs, dm, err), err
 			}
 			w, ok := s.NextWake()
 			if !ok || w > next {
@@ -245,12 +261,12 @@ func Run(in *core.Instance, s Scheduler, opts Options) (*RunResult, error) {
 			}
 			if w < next {
 				err := fmt.Errorf("sched: %s requested wake at t=%d in the past (now t=%d)", s.Name(), w, next)
-				return failedResult(sim, s, snaps, opts.Obs, err), err
+				return failedResult(sim, s, snaps, opts.Obs, dm, err), err
 			}
 			dm.wakeups.Inc()
 			if err := s.OnWake(); err != nil {
 				err = fmt.Errorf("sched: %s OnWake(t=%d): %w", s.Name(), next, err)
-				return failedResult(sim, s, snaps, opts.Obs, err), err
+				return failedResult(sim, s, snaps, opts.Obs, dm, err), err
 			}
 		}
 	}
@@ -259,12 +275,13 @@ func Run(in *core.Instance, s Scheduler, opts Options) (*RunResult, error) {
 	for _, tx := range in.Txns {
 		if _, ok := sim.Scheduled(tx.ID); !ok {
 			err := fmt.Errorf("sched: %s never scheduled transaction %d", s.Name(), tx.ID)
-			return failedResult(sim, s, snaps, opts.Obs, err), err
+			return failedResult(sim, s, snaps, opts.Obs, dm, err), err
 		}
 	}
 	if err := sim.RunToCompletion(); err != nil {
-		return failedResult(sim, s, snaps, opts.Obs, err), err
+		return failedResult(sim, s, snaps, opts.Obs, dm, err), err
 	}
+	dm.setFinalLive(sim)
 	return BuildResult(sim, s.Name(), snaps, opts.Obs), nil
 }
 
@@ -334,7 +351,8 @@ func BuildResult(sim *core.Sim, name string, snaps []Snapshot, m *obs.Metrics) *
 
 // failedResult builds the partial result of an aborted run, marked with
 // the driver error so callers can distinguish it from a finished one.
-func failedResult(sim *core.Sim, s Scheduler, snaps []Snapshot, m *obs.Metrics, err error) *RunResult {
+func failedResult(sim *core.Sim, s Scheduler, snaps []Snapshot, m *obs.Metrics, dm driverMetrics, err error) *RunResult {
+	dm.setFinalLive(sim)
 	rr := BuildResult(sim, s.Name(), snaps, m)
 	rr.Failed = true
 	rr.Err = err

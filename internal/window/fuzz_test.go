@@ -12,8 +12,8 @@ import (
 
 // FuzzWindowDraws is the priority-draw determinism fuzzer: for any
 // workload shape and any priority seed, two runs of the window engine must
-// produce byte-identical decision logs, the parallel engine must match the
-// sequential one, and the schedule must replay cleanly. This is the
+// produce byte-identical decision logs, a run with SimOptions.Parallel
+// set must match the sequential one, and the schedule must replay cleanly. This is the
 // machine-checked core of the engine's contract — the randomness is
 // confined to the seeded draw stream, never to execution order.
 func FuzzWindowDraws(f *testing.F) {

@@ -117,10 +117,10 @@ func TestWindowDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestWindowParallelMatchesSequential pins the DESIGN.md §12 contract for
-// the window engine locally (the root conformance suite re-checks it
-// byte-for-byte across all engines): batch arrivals big enough to cross
-// parGatherMin must produce the identical decision log at P in {2, 4}.
+// TestWindowParallelMatchesSequential pins at the API level that
+// SimOptions.Parallel never changes a window run (the root conformance
+// suite re-checks it byte-for-byte across all engines): large batch
+// arrivals must produce the identical decision log at P in {2, 4}.
 func TestWindowParallelMatchesSequential(t *testing.T) {
 	g, err := graph.Cluster(graph.ClusterSpec{Alpha: 3, Beta: 6, Gamma: 6})
 	if err != nil {
