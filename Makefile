@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt lint race bench bench-quick bench-scale bench-par fuzz-quick soak
+.PHONY: all build test check vet fmt lint race loc bench bench-quick bench-scale bench-par fuzz-quick soak
 
 all: check
 
@@ -48,6 +48,11 @@ race:
 		./internal/depgraph/... ./internal/pq/... \
 		./internal/window/... ./internal/engine/...
 	$(GO) test -race -run 'TestParallel|TestAdvanceToIncrements|TestEngineConformance' .
+
+# loc prints the production-size metric ROADMAP.md tracks: non-test Go
+# lines outside perfbench/ and testdata/.
+loc:
+	@sh scripts/prodlines.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

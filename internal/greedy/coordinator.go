@@ -1,8 +1,9 @@
 package greedy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
@@ -91,7 +92,7 @@ func (c *Coordinator) OnWake() error {
 		}
 	}
 	if len(due) > 0 {
-		sort.Slice(due, func(i, j int) bool { return due[i].ID < due[j].ID })
+		slices.SortFunc(due, func(a, b *core.Transaction) int { return cmp.Compare(a.ID, b.ID) })
 		if err := c.inner.OnArrive(due); err != nil {
 			return err
 		}

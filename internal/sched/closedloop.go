@@ -2,12 +2,10 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtm/internal/core"
-	"dtm/internal/depgraph"
 	"dtm/internal/graph"
-	"dtm/internal/par"
 )
 
 // ClosedLoopConfig describes the paper's exact transaction issuing process
@@ -38,7 +36,6 @@ type clWaiter struct {
 // node exists only once its previous transaction commits (one step
 // later), so the drive loop also advances to internal sim events.
 type closedLoopStream struct {
-	sim    *core.Sim
 	gen    func(node graph.NodeID, round int) []core.ObjID
 	rounds int
 	round  []int      // next round to issue per node
@@ -73,7 +70,7 @@ func (c *closedLoopStream) pop(id core.TxID) (*core.Transaction, error) {
 		c.issueQ = c.pendIssue[t]
 		c.issueT = t
 		delete(c.pendIssue, t)
-		sort.Slice(c.issueQ, func(i, j int) bool { return c.issueQ[i] < c.issueQ[j] })
+		slices.Sort(c.issueQ)
 	}
 	v := c.issueQ[0]
 	c.issueQ = c.issueQ[1:]
@@ -91,11 +88,11 @@ func (c *closedLoopStream) pop(id core.TxID) (*core.Transaction, error) {
 // observe scans the in-flight transactions in issue order: a node whose
 // transaction executed issues its next one one step later (clamped to
 // now, since the commit may be discovered late).
-func (c *closedLoopStream) observe() error {
-	now := c.sim.Now()
+func (c *closedLoopStream) observe(sim *core.Sim) error {
+	now := sim.Now()
 	still := c.wait[:0]
 	for _, w := range c.wait {
-		if e, ok := c.sim.Executed(w.id); ok {
+		if e, ok := sim.Executed(w.id); ok {
 			if c.round[w.node] < c.rounds {
 				at := e + 1
 				if at < now {
@@ -118,7 +115,7 @@ func (c *closedLoopStream) exhausted() bool {
 func (c *closedLoopStream) feedback() bool { return true }
 
 // RunClosedLoop drives a scheduler under the closed-loop process — on the
-// same drive core as the streaming driver, with arrivals coming from the
+// same drive core as every central driver, with arrivals coming from the
 // commit-gated feedback stream — and returns the usual run result
 // (snapshots taken at every distinct issue time) together with the
 // instance that the process generated.
@@ -145,24 +142,7 @@ func RunClosedLoop(g *graph.Graph, cfg ClosedLoopConfig, s Scheduler, opts Optio
 			Objects: cfg.Gen(graph.NodeID(v), 0),
 		})
 	}
-	simOpts := opts.Sim
-	if simOpts.Obs == nil {
-		simOpts.Obs = opts.Obs
-	}
-	sim, err := core.NewSim(in, simOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-	dm := newDriverMetrics(opts.Obs)
-	env := &Env{Sim: sim, G: g, Obs: opts.Obs, Scratch: depgraph.GetScratch(),
-		Par: par.FromOption(simOpts.Parallel)}
-	defer env.Scratch.Release()
-	if err := s.Start(env); err != nil {
-		return nil, nil, fmt.Errorf("sched: %s start: %w", s.Name(), err)
-	}
-
 	stream := &closedLoopStream{
-		sim:       sim,
 		gen:       cfg.Gen,
 		rounds:    cfg.Rounds,
 		round:     make([]int, nodes),
@@ -174,13 +154,6 @@ func RunClosedLoop(g *graph.Graph, cfg ClosedLoopConfig, s Scheduler, opts Optio
 		stream.wait = append(stream.wait, clWaiter{id: core.TxID(v), node: graph.NodeID(v)})
 	}
 
-	snaps, err := drive(sim, in, s, stream, dm, driveOpts{snapEvery: opts.SnapshotEvery, obs: opts.Obs})
-	dm.setFinalLive(sim)
-	rr := BuildResult(sim, s.Name()+"/closed-loop", snaps, opts.Obs)
-	if err != nil {
-		rr.Failed = true
-		rr.Err = err
-		return rr, in, err
-	}
-	return rr, in, nil
+	rr, err := run(in, s, "/closed-loop", stream, opts)
+	return rr, in, err
 }

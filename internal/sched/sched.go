@@ -1,7 +1,11 @@
-// Package sched defines the online scheduler interface and the simulation
-// driver that binds a scheduler to an instance, runs the synchronous model
-// to completion, and measures the empirical competitive ratio of
-// Definition 1 in Busch et al. (IPPS 2020).
+// Package sched defines the online scheduler interface and the central
+// drivers that bind a scheduler to its arrivals — a finite instance (Run),
+// a streaming source (RunStream) or the closed-loop process
+// (RunClosedLoop) — run the synchronous model to completion, and measure
+// the empirical competitive ratio of Definition 1 in Busch et al. (IPPS
+// 2020). All three share one setup (start) and one arrival and wake loop
+// (drive), so a scheduler sees the same protocol and the same failure
+// rules under each.
 //
 // The driver realizes the "central authority with instant knowledge"
 // abstraction of Sections III and IV: the scheduler observes arrivals and
@@ -125,7 +129,8 @@ type EngineOptions struct {
 type Options struct {
 	Sim core.SimOptions
 	// SnapshotEvery takes a competitive-ratio snapshot at every k-th
-	// distinct arrival time (0 or 1 = every one; <0 disables snapshots).
+	// delivered arrival batch (0 or 1 = every one; <0 disables snapshots).
+	// A batch is every transaction arriving at one time.
 	SnapshotEvery int
 	// Obs, when set, collects metrics across the driver, the engine, and
 	// the scheduler, and is snapshotted into RunResult.Metrics. It is
@@ -134,8 +139,8 @@ type Options struct {
 	Obs *obs.Metrics
 }
 
-// driverMetrics holds the Run/RunClosedLoop instrument handles; all nil
-// (and free) when observability is disabled.
+// driverMetrics holds the drive core's instrument handles; all nil (and
+// free) when observability is disabled.
 type driverMetrics struct {
 	arrivals *obs.Counter   // sched.arrivals: transactions delivered
 	wakeups  *obs.Counter   // sched.wakeups: OnWake invocations
@@ -195,94 +200,62 @@ func (dm driverMetrics) setFinalLive(sim *core.Sim) {
 }
 
 // Run executes the scheduler against the instance to completion and
-// computes the competitive-ratio trace.
+// computes the competitive-ratio trace: the drive core over the
+// instance's own arrivals, with no stream behind them.
 func Run(in *core.Instance, s Scheduler, opts Options) (*RunResult, error) {
-	simOpts := opts.Sim
+	return run(in, s, "", noStream{}, opts)
+}
+
+// noStream is the arrival stream of a finite instance: always exhausted,
+// so every arrival the drive core delivers comes from the instance.
+type noStream struct{}
+
+func (noStream) peek() (core.Time, bool) { return 0, false }
+func (noStream) pop(core.TxID) (*core.Transaction, error) {
+	return nil, fmt.Errorf("sched: pop from an empty stream")
+}
+func (noStream) observe(*core.Sim) error { return nil }
+func (noStream) exhausted() bool         { return true }
+func (noStream) feedback() bool          { return false }
+
+// start is the setup every central driver shares: it builds the run's
+// simulator over in (threading m into it unless simOpts names its own
+// registry) and binds s to it through an Env carrying the run's pooled
+// scratch and phase-runner. The caller releases env.Scratch when the run
+// ends.
+func start(in *core.Instance, s Scheduler, simOpts core.SimOptions, m *obs.Metrics) (*Env, error) {
 	if simOpts.Obs == nil {
-		simOpts.Obs = opts.Obs
+		simOpts.Obs = m
 	}
 	sim, err := core.NewSim(in, simOpts)
 	if err != nil {
 		return nil, err
 	}
-	dm := newDriverMetrics(opts.Obs)
-	env := &Env{Sim: sim, G: in.G, Obs: opts.Obs, Scratch: depgraph.GetScratch(),
+	env := &Env{Sim: sim, G: in.G, Obs: m, Scratch: depgraph.GetScratch(),
 		Par: par.FromOption(simOpts.Parallel)}
-	defer env.Scratch.Release()
 	if err := s.Start(env); err != nil {
+		env.Scratch.Release()
 		return nil, fmt.Errorf("sched: %s start: %w", s.Name(), err)
 	}
-	arrivals := in.ArrivalTimes()
-	var snaps []Snapshot
-	snapEvery := opts.SnapshotEvery
-	if snapEvery == 0 {
-		snapEvery = 1
-	}
+	return env, nil
+}
 
-	ai := 0
-	for {
-		// Next external event: an arrival or a scheduler wake-up.
-		var next core.Time
-		have := false
-		if ai < len(arrivals) {
-			next, have = arrivals[ai], true
-		}
-		if w, ok := s.NextWake(); ok && (!have || w < next) {
-			next, have = w, true
-		}
-		if !have {
-			break
-		}
-		if err := sim.AdvanceTo(next); err != nil {
-			return failedResult(sim, s, snaps, opts.Obs, dm, err), err
-		}
-		isArrival := ai < len(arrivals) && arrivals[ai] == next
-		if isArrival {
-			if snapEvery > 0 && ai%snapEvery == 0 {
-				snaps = append(snaps, observedSnapshot(sim, next, opts.Obs, dm))
-			}
-			txns := in.TxnsArriving(next)
-			dm.arrivals.Add(int64(len(txns)))
-			if err := s.OnArrive(txns); err != nil {
-				err = fmt.Errorf("sched: %s OnArrive(t=%d): %w", s.Name(), next, err)
-				return failedResult(sim, s, snaps, opts.Obs, dm, err), err
-			}
-			ai++
-		}
-		// Serve any wake-ups due now (possibly triggered by the arrival).
-		for guard := 0; ; guard++ {
-			if guard > 1<<20 {
-				err := fmt.Errorf("sched: %s keeps requesting wake at t=%d without progress", s.Name(), next)
-				return failedResult(sim, s, snaps, opts.Obs, dm, err), err
-			}
-			w, ok := s.NextWake()
-			if !ok || w > next {
-				break
-			}
-			if w < next {
-				err := fmt.Errorf("sched: %s requested wake at t=%d in the past (now t=%d)", s.Name(), w, next)
-				return failedResult(sim, s, snaps, opts.Obs, dm, err), err
-			}
-			dm.wakeups.Inc()
-			if err := s.OnWake(); err != nil {
-				err = fmt.Errorf("sched: %s OnWake(t=%d): %w", s.Name(), next, err)
-				return failedResult(sim, s, snaps, opts.Obs, dm, err), err
-			}
-		}
+// run is the path Run and RunClosedLoop share: start, drive the instance
+// and the stream, and build the result under the scheduler's name plus
+// suffix. A failed run returns its partial result, marked Failed with the
+// driver error so callers can tell it from a finished one.
+func run(in *core.Instance, s Scheduler, suffix string, stream arrivalStream, opts Options) (*RunResult, error) {
+	env, err := start(in, s, opts.Sim, opts.Obs)
+	if err != nil {
+		return nil, err
 	}
-	// All arrivals delivered and no wakes pending: every transaction must
-	// have a decision by now.
-	for _, tx := range in.Txns {
-		if _, ok := sim.Scheduled(tx.ID); !ok {
-			err := fmt.Errorf("sched: %s never scheduled transaction %d", s.Name(), tx.ID)
-			return failedResult(sim, s, snaps, opts.Obs, dm, err), err
-		}
+	defer env.Scratch.Release()
+	snaps, err := drive(env.Sim, in, s, stream, driveOpts{snapEvery: opts.SnapshotEvery, obs: opts.Obs})
+	rr := BuildResult(env.Sim, s.Name()+suffix, snaps, opts.Obs)
+	if err != nil {
+		rr.Failed, rr.Err = true, err
 	}
-	if err := sim.RunToCompletion(); err != nil {
-		return failedResult(sim, s, snaps, opts.Obs, dm, err), err
-	}
-	dm.setFinalLive(sim)
-	return BuildResult(sim, s.Name(), snaps, opts.Obs), nil
+	return rr, err
 }
 
 // TakeSnapshot records the live set and the OPT lower bound at time t.
@@ -346,16 +319,6 @@ func BuildResult(sim *core.Sim, name string, snaps []Snapshot, m *obs.Metrics) *
 			rr.MaxRatio = rp.Ratio
 		}
 	}
-	return rr
-}
-
-// failedResult builds the partial result of an aborted run, marked with
-// the driver error so callers can distinguish it from a finished one.
-func failedResult(sim *core.Sim, s Scheduler, snaps []Snapshot, m *obs.Metrics, dm driverMetrics, err error) *RunResult {
-	dm.setFinalLive(sim)
-	rr := BuildResult(sim, s.Name(), snaps, m)
-	rr.Failed = true
-	rr.Err = err
 	return rr
 }
 

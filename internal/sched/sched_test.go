@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"dtm/internal/core"
 	"dtm/internal/graph"
@@ -50,6 +53,30 @@ func (s *wakeSpinner) OnArrive([]*core.Transaction) error { return nil }
 func (s *wakeSpinner) NextWake() (core.Time, bool)        { return s.env.Sim.Now(), true }
 func (s *wakeSpinner) OnWake() error                      { return nil }
 
+// wakeCreeper always wants a wake one step ahead and never decides: time
+// moves, nothing commits.
+type wakeCreeper struct{ wakeSpinner }
+
+func (s *wakeCreeper) Name() string                { return "creeper" }
+func (s *wakeCreeper) NextWake() (core.Time, bool) { return s.env.Sim.Now() + 1, true }
+
+// pastWaker schedules serially, so time moves, and requests a wake at
+// t=0 once it has.
+type pastWaker struct{ serialScheduler }
+
+func (s *pastWaker) Name() string { return "past-waker" }
+func (s *pastWaker) NextWake() (core.Time, bool) {
+	return 0, s.env.Sim.Now() > 0
+}
+
+var errBoom = errors.New("boom")
+
+// failingArriver rejects every arrival batch with errBoom.
+type failingArriver struct{ idleScheduler }
+
+func (failingArriver) Name() string                       { return "failing" }
+func (failingArriver) OnArrive([]*core.Transaction) error { return errBoom }
+
 func testInstance(t *testing.T, n int) *core.Instance {
 	t.Helper()
 	g, err := graph.Line(n)
@@ -89,10 +116,72 @@ func TestDriverRunsSerialScheduler(t *testing.T) {
 	}
 }
 
+// TestDriverDetectsWakeSpin holds every central driver to the drive
+// contract: a scheduler that spins on wakes, creeps forward without
+// deciding, wakes in the past, or fails OnArrive ends the run with an
+// error naming the cause, never a hang. Each case runs under a deadline
+// so a regression fails instead of stalling the suite.
 func TestDriverDetectsWakeSpin(t *testing.T) {
 	in := testInstance(t, 6)
-	if _, err := Run(in, &wakeSpinner{}, Options{}); err == nil {
-		t.Fatal("wake spinner should be detected")
+	g, err := graph.Line(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := ClosedLoopConfig{
+		Objects: []*core.Object{{ID: 0, Origin: 0}, {ID: 1, Origin: 5}},
+		Rounds:  2,
+		Gen: func(node graph.NodeID, round int) []core.ObjID {
+			return []core.ObjID{core.ObjID((int(node) + round) % 2)}
+		},
+	}
+	drivers := map[string]func(Scheduler) error{
+		"Run": func(s Scheduler) error {
+			_, err := Run(in, s, Options{})
+			return err
+		},
+		"RunStream": func(s Scheduler) error {
+			_, err := RunStream(in.G, in.Objects, workload.NewInstanceSource(in), s, StreamOptions{})
+			return err
+		},
+		"RunClosedLoop": func(s Scheduler) error {
+			_, _, err := RunClosedLoop(g, cl, s, Options{})
+			return err
+		},
+	}
+	cases := []struct {
+		name string
+		mk   func() Scheduler
+		want string // substring of the error
+		is   error  // wrapped cause, if any
+	}{
+		{"spinner", func() Scheduler { return &wakeSpinner{} }, "keeps requesting wake", nil},
+		{"creeper", func() Scheduler { return &wakeCreeper{} }, "stopped progressing", nil},
+		{"past-waker", func() Scheduler { return &pastWaker{} }, "requested wake at t=0 in the past", nil},
+		{"failing", func() Scheduler { return failingArriver{} }, "failing OnArrive(t=", errBoom},
+	}
+	for dname, drive := range drivers {
+		for _, c := range cases {
+			drive, c := drive, c
+			t.Run(dname+"/"+c.name, func(t *testing.T) {
+				done := make(chan error, 1)
+				go func() { done <- drive(c.mk()) }()
+				var err error
+				select {
+				case err = <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("no error after 30s: the driver hangs")
+				}
+				if err == nil {
+					t.Fatal("misbehaving scheduler should fail the run")
+				}
+				if !strings.Contains(err.Error(), c.want) {
+					t.Errorf("error %q does not mention %q", err, c.want)
+				}
+				if c.is != nil && !errors.Is(err, c.is) {
+					t.Errorf("error %q does not wrap %v", err, c.is)
+				}
+			})
+		}
 	}
 }
 

@@ -1,24 +1,24 @@
 package sched
 
-// The shared drive core for arrival-fed runs. Both the open-system
-// streaming driver (RunStream) and the paper's closed-loop process
-// (RunClosedLoop) are one loop — serve wakes, advance to the next arrival
-// or wake, deliver the arrival batch — differing only in where arrivals
-// come from: a lazily-pulled workload.Source, or a feedback stream whose
-// next arrival is gated on commits. The loop holds no per-transaction
-// history of its own, so with Sim retirement enabled (RunStream's
-// default) a run's live state is bounded by the in-flight window no
-// matter how many arrivals stream through.
+// The drive core every central driver runs on. The finite-instance
+// driver (Run), the open-system streaming driver (RunStream) and the
+// paper's closed-loop process (RunClosedLoop) are one loop — serve wakes,
+// advance to the next arrival or wake, deliver the arrival batch —
+// differing only in where arrivals come from: the instance alone, a
+// lazily-pulled workload.Source, or a feedback stream whose next arrival
+// is gated on commits. The loop holds no per-transaction history of its
+// own, so with Sim retirement enabled (RunStream's default) a run's live
+// state is bounded by the in-flight window no matter how many arrivals
+// stream through.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtm/internal/core"
-	"dtm/internal/depgraph"
 	"dtm/internal/graph"
 	"dtm/internal/obs"
-	"dtm/internal/par"
 	"dtm/internal/workload"
 )
 
@@ -34,7 +34,7 @@ type arrivalStream interface {
 	pop(id core.TxID) (*core.Transaction, error)
 	// observe runs after every sim advance — the feedback stream's hook
 	// for turning fresh commits into new pending arrivals.
-	observe() error
+	observe(sim *core.Sim) error
 	// exhausted reports that no arrival is pending now or later.
 	exhausted() bool
 	// feedback reports that future arrivals hinge on engine progress, so
@@ -57,9 +57,15 @@ type driveOpts struct {
 // drive is the shared loop: it pumps instance arrivals and the stream into
 // the scheduler in time order until both are exhausted, then checks every
 // live transaction was scheduled and drains the sim. It returns the ratio
-// snapshots it took; the callers build their own results.
+// snapshots it took; the callers build their own results. Every driver
+// gets the same contract: a wake requested before now, a wake spin at one
+// time, and a run that stops delivering and committing are errors;
+// OnArrive and OnWake errors come back wrapped with the scheduler name and
+// time; and sched.live_txns ends at the live-set size, failed run or not.
 func drive(sim *core.Sim, in *core.Instance, s Scheduler, stream arrivalStream,
-	dm driverMetrics, opts driveOpts) ([]Snapshot, error) {
+	opts driveOpts) ([]Snapshot, error) {
+	dm := newDriverMetrics(opts.obs)
+	defer dm.setFinalLive(sim)
 	var snaps []Snapshot
 	snapEvery := opts.snapEvery
 	if snapEvery == 0 {
@@ -72,7 +78,10 @@ func drive(sim *core.Sim, in *core.Instance, s Scheduler, stream arrivalStream,
 		}
 		snapCount++
 		dm.arrivals.Add(int64(len(txns)))
-		return s.OnArrive(txns)
+		if err := s.OnArrive(txns); err != nil {
+			return fmt.Errorf("sched: %s OnArrive(t=%d): %w", s.Name(), t, err)
+		}
+		return nil
 	}
 
 	instArr := in.ArrivalTimes()
@@ -93,9 +102,12 @@ func drive(sim *core.Sim, in *core.Instance, s Scheduler, stream arrivalStream,
 			if !ok || w > sim.Now() {
 				break
 			}
+			if w < sim.Now() {
+				return snaps, fmt.Errorf("sched: %s requested wake at t=%d in the past (now t=%d)", s.Name(), w, sim.Now())
+			}
 			dm.wakeups.Inc()
 			if err := s.OnWake(); err != nil {
-				return snaps, err
+				return snaps, fmt.Errorf("sched: %s OnWake(t=%d): %w", s.Name(), sim.Now(), err)
 			}
 		}
 		if done, _, _, _ := sim.CommitStats(); done != lastDone {
@@ -117,7 +129,7 @@ func drive(sim *core.Sim, in *core.Instance, s Scheduler, stream arrivalStream,
 			if err := sim.AdvanceTo(w); err != nil {
 				return snaps, err
 			}
-			if err := stream.observe(); err != nil {
+			if err := stream.observe(sim); err != nil {
 				return snaps, err
 			}
 			continue
@@ -151,7 +163,7 @@ func drive(sim *core.Sim, in *core.Instance, s Scheduler, stream arrivalStream,
 		if err := sim.AdvanceTo(t); err != nil {
 			return snaps, err
 		}
-		if err := stream.observe(); err != nil {
+		if err := stream.observe(sim); err != nil {
 			return snaps, err
 		}
 		var batch []*core.Transaction
@@ -188,7 +200,7 @@ func drive(sim *core.Sim, in *core.Instance, s Scheduler, stream arrivalStream,
 	}
 	// Surface any source error that exhausted the stream early (the
 	// monotonicity check fails the run rather than truncating it).
-	if err := stream.observe(); err != nil {
+	if err := stream.observe(sim); err != nil {
 		return snaps, err
 	}
 	// Every transaction still in the window must have a decision (retired
@@ -214,7 +226,7 @@ func harvestDecisions(sim *core.Sim) []core.Decision {
 		at, _ := sim.DecidedAt(tx.ID)
 		decs = append(decs, core.Decision{Tx: tx.ID, Exec: exec, At: at})
 	}
-	sort.SliceStable(decs, func(i, j int) bool { return decs[i].At < decs[j].At })
+	slices.SortStableFunc(decs, func(a, b core.Decision) int { return cmp.Compare(a.At, b.At) })
 	return decs
 }
 
@@ -274,7 +286,7 @@ func (p *pullStream) pop(id core.TxID) (*core.Transaction, error) {
 	return &core.Transaction{ID: id, Node: a.Node, Arrival: a.At, Objects: a.Objects}, nil
 }
 
-func (p *pullStream) observe() error { return p.err }
+func (p *pullStream) observe(*core.Sim) error { return p.err }
 
 func (p *pullStream) exhausted() bool {
 	p.fill()
@@ -447,23 +459,14 @@ func RunStream(g *graph.Graph, objects []*core.Object, src workload.Source, s Sc
 	if m == nil {
 		m = obs.New()
 	}
-	simOpts := opts.Sim
-	if simOpts.Obs == nil {
-		simOpts.Obs = m
-	}
 	in := &core.Instance{G: g, Objects: objects}
-	sim, err := core.NewSim(in, simOpts)
+	env, err := start(in, s, opts.Sim, m)
 	if err != nil {
 		return nil, err
 	}
-	dm := newDriverMetrics(m)
-	sm := newStreamMetrics(m)
-	env := &Env{Sim: sim, G: g, Obs: m, Scratch: depgraph.GetScratch(),
-		Par: par.FromOption(simOpts.Parallel)}
 	defer env.Scratch.Release()
-	if err := s.Start(env); err != nil {
-		return nil, fmt.Errorf("sched: %s start: %w", s.Name(), err)
-	}
+	sim := env.Sim
+	sm := newStreamMetrics(m)
 
 	stream := &pullStream{src: src, max: opts.MaxArrivals}
 	var queueTrace, windowTrace peakTrace
@@ -498,37 +501,25 @@ func RunStream(g *graph.Graph, objects []*core.Object, src workload.Source, s Sc
 		return nil
 	}
 
-	res := &StreamResult{Scheduler: s.Name() + "/stream"}
-	finish := func() {
-		res.Arrivals = stream.count
-		count, makespan, maxLat, sumLat := sim.CommitStats()
-		res.Completed = int64(count)
-		res.Makespan = makespan
-		res.MaxSojourn = maxLat
-		if count > 0 {
-			res.MeanSojourn = float64(sumLat) / float64(count)
-		}
-		retired, _ := sim.LiveWindow()
-		res.Retired = int64(retired)
-		res.TotalComm = sim.TotalComm()
-		res.QueuePeak, res.QueuePeakFirstHalf, res.QueuePeakSecondHalf = queueTrace.stats()
-		res.WindowPeak, res.WindowPeakFirstHalf, res.WindowPeakSecondHalf = windowTrace.stats()
-		res.Metrics = m.Snapshot()
-		if hv, ok := res.Metrics.Histograms[obs.NameCoreCommitLatency]; ok {
-			res.SojournP50 = hv.Quantile(0.50)
-			res.SojournP95 = hv.Quantile(0.95)
-			res.SojournP99 = hv.Quantile(0.99)
-		}
-		if opts.CollectDecisions {
-			res.Decisions = harvestDecisions(sim)
-		}
+	_, err = drive(sim, in, s, stream, driveOpts{snapEvery: -1, obs: m, onBatch: onBatch})
+	count, makespan, maxLat, sumLat := sim.CommitStats()
+	retired, _ := sim.LiveWindow()
+	res := &StreamResult{Scheduler: s.Name() + "/stream", Arrivals: stream.count,
+		Completed: int64(count), Makespan: makespan, MaxSojourn: maxLat,
+		Retired: int64(retired), TotalComm: sim.TotalComm(), Failed: err != nil, Err: err}
+	if count > 0 {
+		res.MeanSojourn = float64(sumLat) / float64(count)
 	}
-	if _, err := drive(sim, in, s, stream, dm, driveOpts{snapEvery: -1, obs: m, onBatch: onBatch}); err != nil {
-		finish()
-		res.Failed = true
-		res.Err = err
-		return res, err
+	res.QueuePeak, res.QueuePeakFirstHalf, res.QueuePeakSecondHalf = queueTrace.stats()
+	res.WindowPeak, res.WindowPeakFirstHalf, res.WindowPeakSecondHalf = windowTrace.stats()
+	res.Metrics = m.Snapshot()
+	if hv, ok := res.Metrics.Histograms[obs.NameCoreCommitLatency]; ok {
+		res.SojournP50 = hv.Quantile(0.50)
+		res.SojournP95 = hv.Quantile(0.95)
+		res.SojournP99 = hv.Quantile(0.99)
 	}
-	finish()
-	return res, nil
+	if opts.CollectDecisions {
+		res.Decisions = harvestDecisions(sim)
+	}
+	return res, err
 }

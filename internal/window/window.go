@@ -30,9 +30,10 @@
 package window
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dtm/internal/coloring"
 	"dtm/internal/core"
@@ -192,7 +193,7 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 	// rounds: draws happen in ID order, the round processes in priority
 	// order, and compaction preserves ID order — all deterministic.
 	sorted := append(sc.Txns[:0], txns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	slices.SortFunc(sorted, func(a, b *core.Transaction) int { return cmp.Compare(a.ID, b.ID) })
 	cands := w.cands[:0]
 	for _, tx := range sorted {
 		cands = append(cands, cand{tx: tx, slot: w.idx.Insert(tx), win: w.w0})
@@ -216,12 +217,9 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 		for i := range cands {
 			order = append(order, i)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ca, cb := &cands[order[a]], &cands[order[b]]
-			if ca.prio != cb.prio {
-				return ca.prio < cb.prio
-			}
-			return ca.tx.ID < cb.tx.ID
+		slices.SortFunc(order, func(a, b int) int {
+			ca, cb := &cands[a], &cands[b]
+			return cmp.Or(cmp.Compare(ca.prio, cb.prio), cmp.Compare(ca.tx.ID, cb.tx.ID))
 		})
 		err = w.round(cands, order, now)
 		w.order = order[:0]
