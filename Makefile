@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt lint race loc bench bench-quick bench-scale bench-par fuzz-quick soak
+.PHONY: all build test check vet fmt lint race loc bench bench-quick bench-par fuzz-quick soak
 
 all: check
 
@@ -49,8 +49,9 @@ race:
 		./internal/window/... ./internal/engine/...
 	$(GO) test -race -run 'TestParallel|TestAdvanceToIncrements|TestEngineConformance' .
 
-# loc prints the production-size metric ROADMAP.md tracks: non-test Go
-# lines outside perfbench/ and testdata/.
+# loc prints the production-size metric ROADMAP.md tracks (non-test Go
+# lines outside perfbench/ and testdata/) and, on a second line, the test
+# Go lines, so code moved into _test.go files shows up.
 loc:
 	@sh scripts/prodlines.sh
 
@@ -60,20 +61,12 @@ bench:
 # bench-quick times the full experiment suite sequentially and on the
 # parallel worker pool, verifies the outputs are byte-identical, and
 # writes wall-clock numbers + speedup to BENCH_runner.json, plus the T11
-# fault-injection sweep rows to BENCH_faults.json. Run bench-scale
-# separately for the engine-comparison rows (CI runs both explicitly).
+# fault-injection sweep rows to BENCH_faults.json.
 bench-quick: build
 	$(GO) run ./cmd/dtmbench -exp all -quick -benchjson BENCH_runner.json >/dev/null
 	$(GO) run ./cmd/dtmbench -quick -faultjson BENCH_faults.json
 	$(GO) run -buildvcs=true ./cmd/dtmbench -quick -parjson BENCH_par.json
 	$(GO) run ./cmd/dtmbench -quick -streamjson BENCH_stream.json
-
-# bench-scale times the incremental conflict-index engine against the
-# per-arrival rebuild oracle (greedy clique + bucket line, quick sizes
-# n=64/256; the full n=1024 row runs without -quick) and writes
-# ns/arrival and allocs/arrival per engine to BENCH_scale.json.
-bench-scale: build
-	$(GO) run ./cmd/dtmbench -quick -scalejson BENCH_scale.json
 
 # bench-par times one large greedy run (n=4096 quick; -quick off adds
 # n=16384) sequentially and with its parallel gather at P in {2,4,8},

@@ -109,22 +109,10 @@ func BenchmarkSweepWorkers(b *testing.B) {
 
 // --- Table 6: CPU cost of the scheduling computations themselves ---
 
-// engineVariants names the two scheduling engines every CPU benchmark
-// runs under: the incremental conflict-index engine (default) and the
-// per-arrival rebuild oracle. -benchmem shows the ns and alloc gap
-// between them; `dtmbench -scalejson` extends the same comparison to
-// n=1024 as a per-arrival JSON artifact.
-var engineVariants = []struct {
-	name    string
-	rebuild bool
-}{
-	{"incremental", false},
-	{"rebuild", true},
-}
-
 // BenchmarkGreedyScheduleCPU measures one full online greedy run (all
-// coloring work) per instance size and engine; Section III-B claims
-// O(n' + m' log n') per step.
+// coloring work) per instance size; Section III-B claims O(n' + m' log n')
+// per step. internal/greedy's BenchmarkEngineCPU times the same workload
+// against the from-scratch rebuild reference.
 func BenchmarkGreedyScheduleCPU(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		g, err := graph.Clique(n)
@@ -138,22 +126,21 @@ func BenchmarkGreedyScheduleCPU(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, eng := range engineVariants {
-			b.Run(fmt.Sprintf("clique-n%d/%s", n, eng.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					s := engine.NewGreedy(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: eng.rebuild}})
-					if _, err := sched.Run(in, s, sched.Options{SnapshotEvery: -1}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("clique-n%d/incremental", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s := engine.NewGreedy(greedy.Options{})
+				if _, err := sched.Run(in, s, sched.Options{SnapshotEvery: -1}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkBucketScheduleCPU measures the bucket conversion (level probes
-// plus activations) per instance size and engine; Section IV-D claims
-// polynomial time.
+// plus activations) per instance size; Section IV-D claims polynomial
+// time. internal/bucket's BenchmarkEngineCPU times the same workload
+// against the from-scratch rebuild reference.
 func BenchmarkBucketScheduleCPU(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		g, err := graph.Line(n)
@@ -167,16 +154,14 @@ func BenchmarkBucketScheduleCPU(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, eng := range engineVariants {
-			b.Run(fmt.Sprintf("line-n%d/%s", n, eng.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					s := engine.NewBucket(bucket.Options{Batch: batch.Tour{}, EngineOptions: sched.EngineOptions{RebuildOracle: eng.rebuild}})
-					if _, err := sched.Run(in, s, sched.Options{SnapshotEvery: -1}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("line-n%d/incremental", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s := engine.NewBucket(bucket.Options{Batch: batch.Tour{}})
+				if _, err := sched.Run(in, s, sched.Options{SnapshotEvery: -1}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -32,8 +32,6 @@ import (
 	"time"
 
 	"dtm"
-	"dtm/internal/batch"
-	"dtm/internal/bucket"
 	"dtm/internal/core"
 	"dtm/internal/engine"
 	"dtm/internal/experiments"
@@ -56,7 +54,6 @@ func main() {
 		benchjson  = flag.String("benchjson", "", "run all experiments sequentially then in parallel, write timing JSON to FILE")
 		faultjson  = flag.String("faultjson", "", "run the T11 fault sweep and write its rows as JSON to FILE")
 		streamjson = flag.String("streamjson", "", "run the T14 stability frontier and write its rows as JSON to FILE")
-		scalejson  = flag.String("scalejson", "", "benchmark incremental vs rebuild engines per arrival, write JSON to FILE")
 		parjson    = flag.String("parjson", "", "benchmark greedy's sequential vs parallel gather, write JSON to FILE (fails if P=2 loses on >= 2 procs)")
 	)
 	flag.Parse()
@@ -72,25 +69,10 @@ func main() {
 			if len(d.Aliases) > 0 {
 				alias = " (alias " + strings.Join(d.Aliases, ", ") + ")"
 			}
-			var caps []string
-			if d.Caps.Distributed {
-				caps = append(caps, "distributed")
-			}
-			if d.Caps.Oracle {
-				caps = append(caps, "oracle")
-			}
-			if d.Caps.Stream {
-				caps = append(caps, "stream")
-			}
-			fmt.Printf("%-16s%s [%s]\n     %s\n", d.ID, alias, strings.Join(caps, ","), d.Doc)
+			fmt.Printf("%-16s%s [%s]\n     %s\n", d.ID, alias, d.Caps, d.Doc)
 		}
 	case *parjson != "":
 		if err := runParBench(*parjson, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "dtmbench:", err)
-			os.Exit(1)
-		}
-	case *scalejson != "":
-		if err := runScaleBench(*scalejson, *quick); err != nil {
 			fmt.Fprintln(os.Stderr, "dtmbench:", err)
 			os.Exit(1)
 		}
@@ -204,159 +186,6 @@ func runTableBench(path, id string, quick bool, seed int64) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "dtmbench: %s (%d rows) written to %s\n", id, len(report.Rows), path)
-	return nil
-}
-
-// scaleEngine holds per-arrival cost figures for one engine on one workload.
-type scaleEngine struct {
-	NsPerArrival     float64 `json:"ns_per_arrival"`
-	AllocsPerArrival float64 `json:"allocs_per_arrival"`
-	BytesPerArrival  float64 `json:"bytes_per_arrival"`
-}
-
-// scaleCase compares the two engines on one (workload, n) cell.
-type scaleCase struct {
-	Workload    string      `json:"workload"`
-	N           int         `json:"n"`
-	Txns        int         `json:"txns"`
-	Arrivals    int         `json:"arrivals"`
-	Rebuild     scaleEngine `json:"rebuild"`
-	Incremental scaleEngine `json:"incremental"`
-	SpeedupNs   float64     `json:"speedup_ns"`
-	AllocRatio  float64     `json:"alloc_ratio"`
-}
-
-// runScaleBench times the incremental conflict-index engine against the
-// per-arrival rebuild oracle on the two standard CPU workloads (greedy on a
-// clique, bucket(tour) on a line) and writes per-arrival ns/allocs/bytes to
-// path. The schedules themselves are pinned identical by the root
-// differential test; this artifact tracks only the cost of producing them.
-func runScaleBench(path string, quick bool) error {
-	measure := func(in *core.Instance, mk func() sched.Scheduler) (scaleEngine, error) {
-		arrivals := float64(len(in.ArrivalTimes()))
-		run := func() error {
-			_, err := sched.Run(in, mk(), sched.Options{SnapshotEvery: -1})
-			return err
-		}
-		// Warm up once (shortest-path tree caches, pooled scratch, heap
-		// growth), then time whole runs and keep the fastest iteration:
-		// the minimum is far more robust against scheduler noise and GC
-		// pauses than the mean on a busy machine, and any perturbation
-		// only ever makes a run slower.
-		if err := run(); err != nil {
-			return scaleEngine{}, err
-		}
-		const (
-			minIters  = 5
-			maxIters  = 200
-			timeSlice = 2 * time.Second
-		)
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		best := time.Duration(1<<63 - 1)
-		iters := 0
-		for begin := time.Now(); iters < minIters || (time.Since(begin) < timeSlice && iters < maxIters); iters++ {
-			start := time.Now()
-			if err := run(); err != nil {
-				return scaleEngine{}, err
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		runtime.ReadMemStats(&ms1)
-		return scaleEngine{
-			NsPerArrival:     float64(best.Nanoseconds()) / arrivals,
-			AllocsPerArrival: float64(ms1.Mallocs-ms0.Mallocs) / float64(iters) / arrivals,
-			BytesPerArrival:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(iters) / arrivals,
-		}, nil
-	}
-	ns := []int{64, 256, 1024}
-	if quick {
-		ns = []int{64, 256}
-	}
-	var cases []scaleCase
-	for _, n := range ns {
-		clique, err := graph.Clique(n)
-		if err != nil {
-			return err
-		}
-		greedyIn, err := workload.Generate(clique, workload.Config{
-			K: 3, NumObjects: n, Rounds: 3,
-			Arrival: workload.ArrivalPeriodic, Period: 2, Seed: 1,
-		})
-		if err != nil {
-			return err
-		}
-		line, err := graph.Line(n)
-		if err != nil {
-			return err
-		}
-		bucketIn, err := workload.Generate(line, workload.Config{
-			K: 2, NumObjects: n / 2, Rounds: 2,
-			Arrival: workload.ArrivalPeriodic, Period: core.Time(n), Seed: 1,
-		})
-		if err != nil {
-			return err
-		}
-		cells := []struct {
-			name string
-			in   *core.Instance
-			mk   func(rebuild bool) sched.Scheduler
-		}{
-			{"greedy-clique", greedyIn, func(r bool) sched.Scheduler {
-				return engine.NewGreedy(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: r}})
-			}},
-			{"bucket-tour-line", bucketIn, func(r bool) sched.Scheduler {
-				return engine.NewBucket(bucket.Options{Batch: batch.Tour{}, EngineOptions: sched.EngineOptions{RebuildOracle: r}})
-			}},
-			{"bucket-coloring-line", bucketIn, func(r bool) sched.Scheduler {
-				return engine.NewBucket(bucket.Options{Batch: batch.Coloring{}, EngineOptions: sched.EngineOptions{RebuildOracle: r}})
-			}},
-		}
-		for _, c := range cells {
-			c := c
-			fmt.Fprintf(os.Stderr, "dtmbench: scale %s n=%d...\n", c.name, n)
-			reb, err := measure(c.in, func() sched.Scheduler { return c.mk(true) })
-			if err != nil {
-				return err
-			}
-			inc, err := measure(c.in, func() sched.Scheduler { return c.mk(false) })
-			if err != nil {
-				return err
-			}
-			sc := scaleCase{
-				Workload:    c.name,
-				N:           n,
-				Txns:        len(c.in.Txns),
-				Arrivals:    len(c.in.ArrivalTimes()),
-				Rebuild:     reb,
-				Incremental: inc,
-			}
-			if sc.Incremental.NsPerArrival > 0 {
-				sc.SpeedupNs = sc.Rebuild.NsPerArrival / sc.Incremental.NsPerArrival
-			}
-			if sc.Rebuild.AllocsPerArrival > 0 {
-				sc.AllocRatio = sc.Incremental.AllocsPerArrival / sc.Rebuild.AllocsPerArrival
-			}
-			fmt.Fprintf(os.Stderr, "dtmbench:   rebuild %.0f ns/arrival, incremental %.0f ns/arrival (%.2fx), allocs %.1f -> %.1f\n",
-				sc.Rebuild.NsPerArrival, sc.Incremental.NsPerArrival, sc.SpeedupNs,
-				sc.Rebuild.AllocsPerArrival, sc.Incremental.AllocsPerArrival)
-			cases = append(cases, sc)
-		}
-	}
-	report := struct {
-		Quick bool        `json:"quick"`
-		Cases []scaleCase `json:"cases"`
-	}{Quick: quick, Cases: cases}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dtmbench: %d scale cases written to %s\n", len(cases), path)
 	return nil
 }
 

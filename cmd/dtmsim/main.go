@@ -189,24 +189,6 @@ func buildScheduler(p params) (dtm.Scheduler, error) {
 	return dtm.NewEngine(d.ID)
 }
 
-// capsString renders an engine's capability flags for -sched list.
-func capsString(c dtm.EngineCaps) string {
-	var flags []string
-	if c.Distributed {
-		flags = append(flags, "distributed")
-	}
-	if c.Oracle {
-		flags = append(flags, "oracle")
-	}
-	if c.Stream {
-		flags = append(flags, "stream")
-	}
-	if len(flags) == 0 {
-		return "-"
-	}
-	return strings.Join(flags, ",")
-}
-
 // printEngines lists the registered engines (dtmsim -sched list).
 func printEngines(csv bool) error {
 	t := stats.NewTable("registered engines (dtmsim -sched <id>)",
@@ -216,7 +198,7 @@ func printEngines(csv bool) error {
 		if aliases == "" {
 			aliases = "-"
 		}
-		t.AddRow(d.ID, aliases, capsString(d.Caps), d.Doc)
+		t.AddRow(d.ID, aliases, d.Caps.String(), d.Doc)
 	}
 	if csv {
 		return t.RenderCSV(os.Stdout)

@@ -100,9 +100,7 @@ type (
 	BucketOptions = bucket.Options
 	// WindowOptions configure the Algorithm W window scheduler.
 	WindowOptions = window.Options
-	// EngineOptions is the shared engine-selection knob embedded in both
-	// GreedyOptions and BucketOptions: RebuildOracle selects the
-	// from-scratch reference engine over the incremental default.
+	// EngineOptions is the (empty) argument of EngineDesc.New.
 	EngineOptions = sched.EngineOptions
 	// BatchScheduler is an offline batch algorithm A for the bucket
 	// conversion.
@@ -246,7 +244,7 @@ type (
 	// EngineDesc describes one registered engine.
 	EngineDesc = engine.Desc
 	// EngineCaps are an engine's capability flags (distributed,
-	// supports-oracle, supports-stream).
+	// supports-stream).
 	EngineCaps = engine.Caps
 )
 

@@ -22,7 +22,7 @@ var engineBases = map[string]bool{
 // function), committing a scheduling decision (Decide), or emitting an
 // observability/trace event (Emit/Event). Go randomizes map iteration
 // order, so any such loop makes two runs of the same instance diverge —
-// the exact failure class the engine_diff_test golden decision logs pin.
+// the exact failure class the engine differential tests' decision logs pin.
 //
 // Commutative folds over a map (sums, min/max, per-key rewrites) are
 // deliberately not flagged.

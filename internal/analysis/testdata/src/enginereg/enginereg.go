@@ -13,10 +13,10 @@ import (
 )
 
 func direct() {
-	greedy.New(greedy.Options{})                 // want `direct engine construction greedy\.New`
-	greedy.NewCoordinator(0, greedy.Options{})   // want `direct engine construction greedy\.NewCoordinator`
-	bucket.New(bucket.Options{})                 // want `direct engine construction bucket\.New`
-	window.New(window.Options{InitialWindow: 4}) // want `direct engine construction window\.New`
+	greedy.New(greedy.Options{})               // want `direct engine construction greedy\.New`
+	greedy.NewCoordinator(0, greedy.Options{}) // want `direct engine construction greedy\.NewCoordinator`
+	bucket.New(bucket.Options{})               // want `direct engine construction bucket\.New`
+	window.New(window.Options{Seed: 4})        // want `direct engine construction window\.New`
 }
 
 // viaRegistry builds engines the sanctioned way; none of these are

@@ -116,8 +116,8 @@ func NewSession(s Scheduler, p *Problem, opts SessionOptions) Session {
 // oneShotSession adapts a legacy one-shot scheduler to the Session
 // interface: each evaluation runs inner.Schedule on a shallow copy of the
 // live problem with Txns set to the pushed set, exactly once — so stateful
-// wrappers (retry reseeding) see the same invocation sequence as the
-// rebuild path.
+// wrappers (retry reseeding) see the same invocation sequence as one
+// direct Schedule call per evaluation.
 type oneShotSession struct {
 	inner Scheduler
 	p     *Problem

@@ -40,15 +40,6 @@ type Options struct {
 	// core.SimOptions.SlowFactor); the batch problems must plan with the
 	// same speed. Zero means 1.
 	Slow int
-	// EngineOptions is the shared engine-selection knob (see
-	// sched.EngineOptions): RebuildOracle rebuilds the batch problem
-	// (object availability map and candidate slice) from scratch for every
-	// level probe, as the original implementation did, instead of driving
-	// the persistent per-level batch sessions. Both paths produce identical
-	// placements — a session's Cost/Assign is pinned byte-identical to the
-	// one-shot Schedule on the same candidate set — and the root
-	// differential test pins that.
-	sched.EngineOptions
 }
 
 func (o Options) slow() int {
@@ -83,10 +74,10 @@ type Bucket struct {
 	levels [][]pending
 	audit  Audit
 
-	// Incremental engine (default): one persistent batch session per
-	// level, holding exactly the level's pending transactions, driven
-	// against a live problem whose Now/Avail the engine refreshes per
-	// arrival and per activation. Tour sessions share one tour-order memo.
+	// One persistent batch session per level, holding exactly the level's
+	// pending transactions, driven against a live problem whose Now/Avail
+	// the engine refreshes per arrival and per activation. Tour sessions
+	// share one tour-order memo.
 	sessions []batch.Session
 	tours    *batch.TourCache
 	avail    map[core.ObjID]batch.Avail
@@ -143,14 +134,12 @@ func (b *Bucket) Start(env *sched.Env) error {
 	b.levels = make([][]pending, max+1)
 	b.audit.LevelCounts = make([]int, max+1)
 	b.resolve = b.resolveAvail
-	if !b.opts.RebuildOracle {
-		b.avail = make(map[core.ObjID]batch.Avail)
-		b.prob = batch.Problem{G: env.G, Avail: b.avail, Slow: graph.Weight(b.opts.slow())}
-		b.tours = batch.NewTourCache(env.G, env.Obs)
-		b.sessions = make([]batch.Session, max+1)
-		for i := range b.sessions {
-			b.sessions[i] = batch.NewSession(b.opts.Batch, &b.prob, batch.SessionOptions{Obs: env.Obs, Tours: b.tours})
-		}
+	b.avail = make(map[core.ObjID]batch.Avail)
+	b.prob = batch.Problem{G: env.G, Avail: b.avail, Slow: graph.Weight(b.opts.slow())}
+	b.tours = batch.NewTourCache(env.G, env.Obs)
+	b.sessions = make([]batch.Session, max+1)
+	for i := range b.sessions {
+		b.sessions[i] = batch.NewSession(b.opts.Batch, &b.prob, batch.SessionOptions{Obs: env.Obs, Tours: b.tours})
 	}
 	return nil
 }
@@ -170,7 +159,7 @@ func (b *Bucket) refreshProblem(now core.Time) {
 
 // LiveStats reports the pending-set bookkeeping sizes: transactions
 // waiting in the level buckets, and transaction pointers currently held by
-// the per-level batch sessions (0 under the rebuild oracle). The two must
+// the per-level batch sessions. The two must
 // agree after every OnArrive/OnWake; the leak-guard test pins it.
 func (b *Bucket) LiveStats() (pending, sessionHeld int) {
 	for _, lv := range b.levels {
@@ -185,7 +174,7 @@ func (b *Bucket) LiveStats() (pending, sessionHeld int) {
 // OnArrive implements sched.Scheduler: each new transaction goes into the
 // smallest-level bucket that keeps the batch cost within 2^i.
 //
-// The default engine probes through the persistent per-level sessions:
+// Probes go through the persistent per-level sessions:
 // a probe is one Push and one Cost, and a failed probe is retracted with
 // Pop — the level's cached state (conflict components, adjacency, memoized
 // tours) carries over to the next probe instead of being rebuilt. The
@@ -193,9 +182,6 @@ func (b *Bucket) LiveStats() (pending, sessionHeld int) {
 // are extended lazily and stay valid across every probe of the arrival.
 func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 	now := b.env.Sim.Now()
-	if b.opts.RebuildOracle {
-		return b.arriveRebuild(txns, now)
-	}
 	b.refreshProblem(now)
 	top := len(b.levels) - 1
 	for _, tx := range txns {
@@ -228,41 +214,6 @@ func (b *Bucket) OnArrive(txns []*core.Transaction) error {
 			// live transaction per node); stay safe in the top bucket.
 			b.sessions[top].Push(tx)
 			b.insert(top, tx, now)
-			b.audit.Overflowed++
-			b.metOverflow.Inc()
-		}
-	}
-	return nil
-}
-
-// arriveRebuild is the oracle engine: the batch problem (availability map
-// and candidate slice) is rebuilt from scratch for every level probe, as
-// the original implementation did.
-func (b *Bucket) arriveRebuild(txns []*core.Transaction, now core.Time) error {
-	for _, tx := range txns {
-		if b.opts.ForceTopLevel {
-			b.insert(len(b.levels)-1, tx, now)
-			continue
-		}
-		placed := false
-		for i := range b.levels {
-			cand := make([]*core.Transaction, 0, len(b.levels[i])+1)
-			for _, pd := range b.levels[i] {
-				cand = append(cand, pd.tx)
-			}
-			cand = append(cand, tx)
-			cost, err := batch.Cost(b.opts.Batch, b.problem(cand, now))
-			if err != nil {
-				return fmt.Errorf("bucket: cost probe at level %d: %w", i, err)
-			}
-			if cost <= 1<<uint(i) {
-				b.insert(i, tx, now)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			b.insert(len(b.levels)-1, tx, now)
 			b.audit.Overflowed++
 			b.metOverflow.Inc()
 		}
@@ -323,25 +274,15 @@ func (b *Bucket) activate(level int, now core.Time) error {
 	b.levels[level] = nil
 	b.audit.Activations++
 	b.metActivations.Inc()
-	var asgn batch.Assignment
-	var err error
-	if b.opts.RebuildOracle {
-		txns := make([]*core.Transaction, len(pds))
-		for i, pd := range pds {
-			txns[i] = pd.tx
-		}
-		asgn, err = b.opts.Batch.Schedule(b.problem(txns, now))
-	} else {
-		// Fresh availability window: lower levels activated in the same
-		// wake have already decided, moving objects.
-		b.refreshProblem(now)
-		for _, pd := range pds {
-			batch.ExtendAvailTx(b.avail, pd.tx, b.resolve)
-		}
-		sess := b.sessions[level]
-		asgn, err = sess.Assign()
-		sess.Reset()
+	// Fresh availability window: lower levels activated in the same wake
+	// have already decided, moving objects.
+	b.refreshProblem(now)
+	for _, pd := range pds {
+		batch.ExtendAvailTx(b.avail, pd.tx, b.resolve)
 	}
+	sess := b.sessions[level]
+	asgn, err := sess.Assign()
+	sess.Reset()
 	if err != nil {
 		return fmt.Errorf("bucket: activating level %d: %w", level, err)
 	}
@@ -364,18 +305,6 @@ func (b *Bucket) activate(level int, now core.Time) error {
 		}
 	}
 	return nil
-}
-
-// problem assembles a one-shot batch problem for the given transactions at
-// the given time, folding the already-scheduled transactions T^s into
-// object availability (the paper's first basic modification of A). Used by
-// the oracle engine; the session engine shares the same resolver through
-// the live problem instead.
-func (b *Bucket) problem(txns []*core.Transaction, now core.Time) *batch.Problem {
-	b.availAt = now
-	avail := make(map[core.ObjID]batch.Avail)
-	batch.ExtendAvail(avail, txns, b.resolve)
-	return &batch.Problem{G: b.env.G, Now: now, Txns: txns, Avail: avail, Slow: graph.Weight(b.opts.slow())}
 }
 
 // resolveAvail computes one object's availability (node, free-time) at

@@ -1,7 +1,6 @@
 package bucket
 
 import (
-	"fmt"
 	"testing"
 
 	"dtm/internal/batch"
@@ -14,19 +13,17 @@ import (
 // leakProbe wraps a Bucket and, after every arrival and activation,
 // compares the scheduler's bookkeeping against the simulation's ground
 // truth: a transaction is pending iff it has arrived and has no decision
-// yet. Under the session engine the per-level sessions must hold exactly
-// the level members — a popped probe or a drained activation that leaves
+// yet. The per-level sessions must hold exactly the level members — a popped probe or a drained activation that leaves
 // a *core.Transaction pinned inside session (or scratch) state is the
 // leak this guards against; the old per-arrival candidate buffer retained
 // exactly such pointers after OnArrive.
 type leakProbe struct {
 	*Bucket
-	t           *testing.T
-	env         *sched.Env
-	sessionized bool
-	arrived     []core.TxID
-	checks      int
-	maxPending  int
+	t          *testing.T
+	env        *sched.Env
+	arrived    []core.TxID
+	checks     int
+	maxPending int
 }
 
 func (p *leakProbe) Start(env *sched.Env) error {
@@ -65,15 +62,11 @@ func (p *leakProbe) check() {
 		p.t.Fatalf("t=%d: buckets hold %d transactions, truth is %d (leak of %d)",
 			p.env.Sim.Now(), pending, truth, pending-truth)
 	}
-	if p.sessionized {
-		// Sessions mirror the level buckets exactly: every failed probe is
-		// popped, every activation drains its session.
-		if sessionHeld != pending {
-			p.t.Fatalf("t=%d: sessions hold %d transaction pointers for %d pending (retention of %d)",
-				p.env.Sim.Now(), sessionHeld, pending, sessionHeld-pending)
-		}
-	} else if sessionHeld != 0 {
-		p.t.Fatalf("t=%d: rebuild oracle holds %d session pointers, want 0", p.env.Sim.Now(), sessionHeld)
+	// Sessions mirror the level buckets exactly: every failed probe is
+	// popped, every activation drains its session.
+	if sessionHeld != pending {
+		p.t.Fatalf("t=%d: sessions hold %d transaction pointers for %d pending (retention of %d)",
+			p.env.Sim.Now(), sessionHeld, pending, sessionHeld-pending)
 	}
 	p.checks++
 	if pending > p.maxPending {
@@ -81,10 +74,10 @@ func (p *leakProbe) check() {
 	}
 }
 
-// TestBucketLeakGuard drives both bucket engines (session and rebuild
-// oracle, Tour and Coloring batch schedulers) through a Zipf workload and
-// asserts after every OnArrive and OnWake that no decided transaction
-// survives in the level buckets or the per-level session state. This is
+// TestBucketLeakGuard drives the bucket scheduler over the Tour and
+// Coloring batch schedulers through a Zipf workload and asserts after
+// every OnArrive and OnWake that no decided transaction survives in the
+// level buckets or the per-level session state. This is
 // the bucket counterpart of greedy's TestPruneLeakGuardLongRun, sized down
 // because every probe pays a batch-schedule evaluation.
 func TestBucketLeakGuard(t *testing.T) {
@@ -105,25 +98,18 @@ func TestBucketLeakGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bs := range []batch.Scheduler{batch.Tour{}, batch.Coloring{}} {
-		for _, rebuild := range []bool{false, true} {
-			name := fmt.Sprintf("%s/rebuild=%v", bs.Name(), rebuild)
-			probe := &leakProbe{
-				Bucket:      New(Options{Batch: bs, EngineOptions: sched.EngineOptions{RebuildOracle: rebuild}}),
-				t:           t,
-				sessionized: !rebuild,
-			}
-			rr, err := sched.Run(in, probe, sched.Options{SnapshotEvery: -1})
-			if err != nil {
-				t.Fatalf("%s: run failed: %v", name, err)
-			}
-			if rr.Failed {
-				t.Fatalf("%s: run marked failed: %v", name, rr.Err)
-			}
-			if probe.checks == 0 {
-				t.Fatalf("%s: leak probe never ran", name)
-			}
-			t.Logf("%s: %d arrivals, %d checks, peak pending %d",
-				name, len(in.Txns), probe.checks, probe.maxPending)
+		probe := &leakProbe{Bucket: New(Options{Batch: bs}), t: t}
+		rr, err := sched.Run(in, probe, sched.Options{SnapshotEvery: -1})
+		if err != nil {
+			t.Fatalf("%s: run failed: %v", bs.Name(), err)
 		}
+		if rr.Failed {
+			t.Fatalf("%s: run marked failed: %v", bs.Name(), rr.Err)
+		}
+		if probe.checks == 0 {
+			t.Fatalf("%s: leak probe never ran", bs.Name())
+		}
+		t.Logf("%s: %d arrivals, %d checks, peak pending %d",
+			bs.Name(), len(in.Txns), probe.checks, probe.maxPending)
 	}
 }

@@ -168,9 +168,9 @@ func cmpIntervalLo(a, b Interval) int {
 // SmallestValid returns the smallest non-negative color outside the union
 // of the given forbidden intervals. It sorts forb in place (by Lo) and
 // sweeps upward from 0; the result depends only on the interval set, not
-// its order. This is the Lemma 1 color search, shared by the per-arrival
-// rebuild path (GreedyColor) and the incremental depgraph engine so the
-// two can never disagree.
+// its order. This is the Lemma 1 color search, shared by the from-scratch
+// graph (GreedyColor, which greedy's test-only rebuild reference colors
+// with) and the incremental depgraph engine so the two can never disagree.
 func SmallestValid(forb []Interval) Color {
 	slices.SortFunc(forb, cmpIntervalLo)
 	c := Color(0)

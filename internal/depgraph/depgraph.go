@@ -26,8 +26,9 @@
 //     the allocator.
 //
 // The scheduler-facing contract is exact: the colors produced from an
-// Index walk equal those of the rebuild path for every input (the root
-// differential test pins this across schedulers, topologies, and seeds).
+// Index walk equal those of a from-scratch rebuild of H'_t for every input
+// (internal/greedy's differential test pins this against its test-only
+// rebuild reference across options, topologies, and seeds).
 package depgraph
 
 import (
@@ -140,7 +141,7 @@ func (ix *Index) RegisterMetrics(m *obs.Metrics) {
 }
 
 // Refresh drops every tracked transaction that executed strictly before
-// now — the live-set rule of the rebuild path's prune — touching only
+// now — the live-set rule of a from-scratch rebuild's prune — touching only
 // transactions whose decided time has come due. Elastic-execution
 // stragglers (due but not yet committed) are re-armed at now and
 // rechecked on the next strictly later Refresh.
@@ -213,7 +214,7 @@ func (ix *Index) remove(s Slot) {
 // AppendNeighbors appends each distinct live transaction conflicting with
 // s's transaction to buf and returns it. Every neighbor appears exactly
 // once even when several objects are shared (the generation-stamped seen
-// set replaces the rebuild path's per-call map[pair]bool), and the
+// set replaces a from-scratch rebuild's per-call map[pair]bool), and the
 // querying slot itself is excluded.
 func (ix *Index) AppendNeighbors(s Slot, buf []Neighbor) []Neighbor {
 	ix.gen++

@@ -310,6 +310,11 @@ type node struct {
 	finishedSess map[objSession]bool       // home: sessions already released
 
 	audit *Audit
+	// err is the first batch-scheduler error this node hit; the node
+	// handles nothing after it, and Run fails the run at the end of the
+	// step. Handlers may run on distnet worker goroutines, where a panic
+	// could not be recovered.
+	err error
 }
 
 // objSession keys per-(object, session) reliability state.
@@ -358,6 +363,9 @@ func newNode(cfg *config, id graph.NodeID) *node {
 
 // HandleEvent implements distnet.Handler.
 func (n *node) HandleEvent(ctx *distnet.Ctx, ev distnet.Event) {
+	if n.err != nil {
+		return
+	}
 	switch p := ev.Payload.(type) {
 	case arrivalMsg:
 		n.onArrival(ctx, p)
@@ -540,7 +548,8 @@ func (n *node) onReport(ctx *distnet.Ctx, m reportMsg) {
 		sess.Push(tx)
 		cost, err := sess.Cost()
 		if err != nil {
-			panic(fmt.Sprintf("distbucket: cost probe: %v", err))
+			n.err = fmt.Errorf("distbucket: node %d: cost probe at level %d: %w", n.id, i, err)
+			return
 		}
 		if cost <= 1<<uint(i) {
 			placed = i
@@ -789,7 +798,8 @@ func (n *node) finishSession(ctx *distnet.Ctx) {
 	p := n.problem(txns, now+core.Time(notify), s.granted)
 	asgn, err := n.cfg.batch.Schedule(p)
 	if err != nil {
-		panic(fmt.Sprintf("distbucket: batch schedule: %v", err))
+		n.err = fmt.Errorf("distbucket: node %d: batch schedule: %w", n.id, err)
+		return
 	}
 	for _, pd := range s.txs {
 		// Algorithm 3 line 7: when the bucket activates, the *objects* are

@@ -264,6 +264,11 @@ func Run(in *core.Instance, opts Options) (*Result, error) {
 		if err := net.RunUntil(t); err != nil {
 			return fail(err)
 		}
+		for _, nd := range nodes {
+			if nd.err != nil {
+				return fail(nd.err)
+			}
+		}
 		// Apply freshly announced decisions to the physics.
 		for _, nd := range nodes {
 			for _, d := range nd.decisions {

@@ -33,14 +33,26 @@ type Caps struct {
 	// under its own driver (distbucket.Run) rather than sched.Run, so its
 	// Desc carries no New constructor.
 	Distributed bool
-	// Oracle marks engines that keep a from-scratch RebuildOracle
-	// reference implementation pinned byte-identical to the incremental
-	// default (sched.EngineOptions.RebuildOracle selects it).
-	Oracle bool
 	// Stream marks engines safe under the bounded-memory streaming driver
 	// (sched.RunStream): decisions never depend on retired history, and
 	// live state stays proportional to the in-flight window.
 	Stream bool
+}
+
+// String renders the set flags as a comma-separated list ("-" when none
+// is set), the caps column of the engine listings.
+func (c Caps) String() string {
+	var flags []string
+	if c.Distributed {
+		flags = append(flags, "distributed")
+	}
+	if c.Stream {
+		flags = append(flags, "stream")
+	}
+	if len(flags) == 0 {
+		return "-"
+	}
+	return strings.Join(flags, ",")
 }
 
 // Desc describes one registered engine.
@@ -51,10 +63,9 @@ type Desc struct {
 	Aliases []string
 	// Doc is a one-line description for -sched list.
 	Doc string
-	// New constructs the engine with default options plus the shared
-	// engine-selection knob. Nil for distributed engines, which have
-	// their own driver; check Caps.Distributed first. Engines without an
-	// oracle (Caps.Oracle false) ignore opts.RebuildOracle.
+	// New constructs the engine with default options. Nil for
+	// distributed engines, which have their own driver; check
+	// Caps.Distributed first.
 	New func(opts sched.EngineOptions) sched.Scheduler
 	// Caps are the engine's capability flags.
 	Caps Caps
@@ -66,54 +77,54 @@ var registry = []Desc{
 	{
 		ID:   "greedy",
 		Doc:  "Algorithm 1: online greedy coloring of the dependency graph (Theorem 1)",
-		New:  func(o sched.EngineOptions) sched.Scheduler { return greedy.New(greedy.Options{EngineOptions: o}) },
-		Caps: Caps{Oracle: true, Stream: true},
+		New:  func(sched.EngineOptions) sched.Scheduler { return greedy.New(greedy.Options{}) },
+		Caps: Caps{Stream: true},
 	},
 	{
 		ID:  "greedy-uniform",
 		Doc: "Algorithm 1, Theorem 2 mode: uniform overlay weights, epoch-quantized decisions",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return greedy.New(greedy.Options{Uniform: true, EngineOptions: o})
+		New: func(sched.EngineOptions) sched.Scheduler {
+			return greedy.New(greedy.Options{Uniform: true})
 		},
-		Caps: Caps{Oracle: true, Stream: true},
+		Caps: Caps{Stream: true},
 	},
 	{
 		ID:  "coordinator",
 		Doc: "Section III-E hub coordinator: decisions funnel through node 0, floored by the round trip",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return greedy.NewCoordinator(0, greedy.Options{EngineOptions: o})
+		New: func(sched.EngineOptions) sched.Scheduler {
+			return greedy.NewCoordinator(0, greedy.Options{})
 		},
-		Caps: Caps{Oracle: true, Stream: true},
+		Caps: Caps{Stream: true},
 	},
 	{
 		ID:      "bucket-tour",
 		Aliases: []string{"bucket"},
 		Doc:     "Algorithm 2 over the MST Euler-tour batch scheduler (Theorem 4)",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return bucket.New(bucket.Options{Batch: batch.Tour{}, EngineOptions: o})
+		New: func(sched.EngineOptions) sched.Scheduler {
+			return bucket.New(bucket.Options{Batch: batch.Tour{}})
 		},
-		Caps: Caps{Oracle: true, Stream: true},
+		Caps: Caps{Stream: true},
 	},
 	{
 		ID:  "bucket-coloring",
 		Doc: "Algorithm 2 over the weighted-coloring batch scheduler",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return bucket.New(bucket.Options{Batch: batch.Coloring{}, EngineOptions: o})
+		New: func(sched.EngineOptions) sched.Scheduler {
+			return bucket.New(bucket.Options{Batch: batch.Coloring{}})
 		},
-		Caps: Caps{Oracle: true, Stream: true},
+		Caps: Caps{Stream: true},
 	},
 	{
 		ID:  "bucket-list",
 		Doc: "Algorithm 2 over the list-scheduling batch scheduler",
-		New: func(o sched.EngineOptions) sched.Scheduler {
-			return bucket.New(bucket.Options{Batch: batch.List{}, EngineOptions: o})
+		New: func(sched.EngineOptions) sched.Scheduler {
+			return bucket.New(bucket.Options{Batch: batch.List{}})
 		},
-		Caps: Caps{Oracle: true, Stream: true},
+		Caps: Caps{Stream: true},
 	},
 	{
 		ID:   "window",
 		Doc:  "Algorithm W: randomized window-based greedy contention management (Sharma/Estrade/Busch)",
-		New:  func(o sched.EngineOptions) sched.Scheduler { return window.New(window.Options{}) },
+		New:  func(sched.EngineOptions) sched.Scheduler { return window.New(window.Options{}) },
 		Caps: Caps{Stream: true},
 	},
 	{
@@ -183,7 +194,7 @@ func Default(id string) (sched.Scheduler, error) {
 // Concrete full-option constructors. These are the only construction sites
 // outside the engines' own packages the enginereg analyzer accepts; option
 // structs stay the engines' own, so feature knobs (padding, slow factors,
-// custom seeds, oracle selection) need no registry mirror.
+// custom seeds) need no registry mirror.
 
 // NewGreedy returns the Algorithm 1 online greedy scheduler.
 func NewGreedy(opts greedy.Options) *greedy.Greedy { return greedy.New(opts) }

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"dtm/internal/sched"
 )
 
 // TestRegistryShape pins the registry's structural invariants: unique
@@ -30,7 +28,7 @@ func TestRegistryShape(t *testing.T) {
 		if d.Caps.Distributed == (d.New != nil) {
 			t.Errorf("engine %q: want New constructor iff not distributed", d.ID)
 		}
-		if d.Caps.Distributed && (d.Caps.Oracle || d.Caps.Stream) {
+		if d.Caps.Distributed && d.Caps.Stream {
 			t.Errorf("engine %q: the distributed protocol takes no central-driver caps", d.ID)
 		}
 	}
@@ -71,23 +69,6 @@ func TestDefault(t *testing.T) {
 	}
 }
 
-// TestOracleCapMatchesKnob checks that every Oracle-capable Desc actually
-// threads the shared RebuildOracle knob: the constructed scheduler must
-// differ in name or behave identically — here we just require construction
-// to succeed under both settings.
-func TestOracleCapMatchesKnob(t *testing.T) {
-	for _, d := range All() {
-		if !d.Caps.Oracle {
-			continue
-		}
-		for _, r := range []bool{false, true} {
-			if s := d.New(sched.EngineOptions{RebuildOracle: r}); s == nil {
-				t.Errorf("engine %q: nil scheduler with RebuildOracle=%v", d.ID, r)
-			}
-		}
-	}
-}
-
 func TestNamesSortedAndComplete(t *testing.T) {
 	ns := Names()
 	if !sort.StringsAreSorted(ns) {
@@ -95,5 +76,21 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	}
 	if len(ns) != len(IDs())+2 { // two aliases: bucket, distbucket
 		t.Errorf("Names() has %d entries for %d IDs; alias count drifted", len(ns), len(IDs()))
+	}
+}
+
+func TestCapsString(t *testing.T) {
+	for _, c := range []struct {
+		caps Caps
+		want string
+	}{
+		{Caps{}, "-"},
+		{Caps{Stream: true}, "stream"},
+		{Caps{Distributed: true}, "distributed"},
+		{Caps{Distributed: true, Stream: true}, "distributed,stream"},
+	} {
+		if got := c.caps.String(); got != c.want {
+			t.Errorf("%+v.String() = %q, want %q", c.caps, got, c.want)
+		}
 	}
 }

@@ -95,7 +95,7 @@ var All = []Experiment{
 	{ID: "T10", Title: "Hub placement for the coordinator", Claim: "Section III-E: the funnel's overhead is the round trip to the designated node, so placement matters up to the eccentricity ratio", Run: table10HubPlacement},
 	{ID: "F13", Title: "Congestion-aware padding", Claim: "Extension of the bounded-capacity open problem: spacing the schedule out (padded edge weights) trades nominal latency for fewer congestion stalls", Run: figure13Padding},
 	{ID: "T11", Title: "Algorithm 3 under message loss", Claim: "Beyond the paper's reliable synchronous model: with seeded fault injection and the retry/abandon recovery layer, the protocol degrades gracefully — every transaction executes or is explicitly abandoned, at a measurable message and ratio overhead", Run: table11Faults},
-	{ID: "T12", Title: "Incremental engine at scale", Claim: "The persistent conflict-index engine produces schedules identical to the per-arrival rebuild oracle at every scale up to n=1024, while the index stays proportional to the live set rather than the history", Run: table12Scale},
+	{ID: "T12", Title: "Incremental engine at scale", Claim: "The persistent conflict-index engine's index stays proportional to the live set rather than the history at every scale up to n=1024", Run: table12Scale},
 	{ID: "T14", Title: "Open-system stability frontier", Claim: "Beyond the paper's finite workloads: under streaming Poisson arrivals there is a critical rate λ* per engine and topology below which the in-flight queue stays bounded (the open-system stability question of the follow-up literature), measurable with bounded engine memory", Run: table14StreamStability},
 	{ID: "T15", Title: "Window-based greedy (Algorithm W) head-to-head", Claim: "Related work (arXiv:1002.4182): the randomized window-based algorithm is O(s log n)-competitive in expectation under s-bounded contention — incomparable on paper to Algorithms 1–3's bounds, so the line/cluster/star head-to-head and the T14 stability frontier decide empirically where each engine wins", Run: table15Window},
 }

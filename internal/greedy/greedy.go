@@ -20,7 +20,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"dtm/internal/coloring"
 	"dtm/internal/core"
@@ -50,13 +49,6 @@ type Options struct {
 	// objects that queue at saturated links, trading nominal latency for
 	// fewer congestion stalls (experiment F13). Zero means 1 (no padding).
 	Pad int
-	// EngineOptions is the shared engine-selection knob (see
-	// sched.EngineOptions): RebuildOracle selects the original
-	// per-arrival rebuild of H'_t instead of the incremental depgraph
-	// index. Both engines produce byte-identical schedules (the root
-	// differential test pins this); the oracle is kept as the reference
-	// implementation.
-	sched.EngineOptions
 }
 
 func (o Options) pad() graph.Weight {
@@ -81,7 +73,7 @@ type Greedy struct {
 	env  *sched.Env
 	beta graph.Weight
 
-	// Incremental engine (default): the persistent conflict index.
+	// The persistent conflict index over H'_t.
 	idx     *depgraph.Index
 	scratch *depgraph.Scratch
 	// par fans the per-transaction gather (forbidden intervals, bound
@@ -91,10 +83,6 @@ type Greedy struct {
 	// gather output, reused across batches.
 	par *par.Runner
 	gs  []gathered
-
-	// Rebuild oracle: per-arrival live tracking.
-	live     []core.TxID                // scheduled and possibly still live
-	objUsers map[core.ObjID][]core.TxID // live scheduled users per object
 
 	buffer []*core.Transaction // Uniform mode: awaiting epoch
 	audit  Audit
@@ -107,7 +95,7 @@ type Greedy struct {
 
 // New returns a greedy scheduler with the given options.
 func New(opts Options) *Greedy {
-	return &Greedy{opts: opts, objUsers: make(map[core.ObjID][]core.TxID)}
+	return &Greedy{opts: opts}
 }
 
 // Name implements sched.Scheduler.
@@ -131,15 +119,13 @@ func (g *Greedy) Start(env *sched.Env) error {
 	g.metScheduled = env.Obs.Counter(obs.NameGreedyColorsAssigned)
 	g.metWithin = env.Obs.Counter(obs.NameGreedyWithinBound)
 	g.metColor = env.Obs.Histogram(obs.NameGreedyColor, obs.PowersOfTwo(16))
-	if !g.opts.RebuildOracle {
-		g.idx = depgraph.NewIndex(env.Sim)
-		g.idx.RegisterMetrics(env.Obs)
-		g.scratch = env.Scratch
-		if g.scratch == nil {
-			g.scratch = depgraph.GetScratch()
-		}
-		g.par = env.Par
+	g.idx = depgraph.NewIndex(env.Sim)
+	g.idx.RegisterMetrics(env.Obs)
+	g.scratch = env.Scratch
+	if g.scratch == nil {
+		g.scratch = depgraph.GetScratch()
 	}
+	g.par = env.Par
 	g.beta = g.opts.Beta
 	if g.opts.Uniform {
 		if g.beta == 0 {
@@ -189,34 +175,21 @@ func (g *Greedy) ScheduleBatch(txns []*core.Transaction) error {
 }
 
 // schedule colors the new transactions against the extended dependency
-// graph H'_t and fixes their execution times. The incremental engine
-// (default) walks the persistent depgraph index; RebuildOracle keeps the
-// original reconstruct-per-arrival path as a reference. Both produce the
-// same schedule for every input: the greedy color depends only on the
-// set of forbidden intervals, which the two engines assemble from the
-// same edges via the shared coloring.SmallestValid* sweeps.
+// graph H'_t and fixes their execution times: prune-by-expiry, insert the
+// batch into the object postings, then color each transaction from its
+// posting neighborhood. The greedy color depends only on the set of
+// forbidden intervals, so it equals the color a from-scratch rebuild of
+// H'_t assigns (the package's differential test pins this).
 func (g *Greedy) schedule(txns []*core.Transaction) error {
 	if len(txns) == 0 {
 		return nil
 	}
 	now := g.env.Sim.Now()
-	if g.opts.RebuildOracle {
-		return g.scheduleRebuild(txns, now)
-	}
-	return g.scheduleIncremental(txns, now)
-}
-
-// scheduleIncremental is the depgraph-backed engine: prune-by-expiry,
-// insert the batch into the object postings, then color each transaction
-// from its posting neighborhood.
-func (g *Greedy) scheduleIncremental(txns []*core.Transaction, now core.Time) error {
 	g.idx.Refresh(now)
 	sc := g.scratch
 
 	// Insert every new transaction before coloring any, so same-batch
-	// conflicts are visible from both sides (the rebuild path wires
-	// new-new edges explicitly before its coloring loop). Color in ID
-	// order, exactly like the oracle.
+	// conflicts are visible from both sides. Color in ID order.
 	sorted := append(sc.Txns[:0], txns...)
 	slices.SortFunc(sorted, func(a, b *core.Transaction) int { return cmp.Compare(a.ID, b.ID) })
 	slots := sc.Slots[:0]
@@ -295,7 +268,7 @@ func (g *Greedy) colorBatch(sorted []*core.Transaction, slots []depgraph.Slot, n
 				continue
 			}
 			// Same-batch neighbors not yet colored still count toward the
-			// bound, like uncolored vertices in the rebuild graph.
+			// bound, like uncolored vertices of H'_t.
 			gr.deg++
 			gr.wdeg += cw
 			switch {
@@ -364,179 +337,13 @@ func (g *Greedy) recordAudit(c, bound coloring.Color) {
 	}
 }
 
-// LiveStats reports the live-set bookkeeping sizes — tracked live
-// transactions and total object-posting entries — for the leak-guard
-// tests: after a prune at time t, neither set may retain transactions
-// executed before t.
+// LiveStats reports the live-set bookkeeping sizes — live conflict-index
+// vertices and total object-posting entries — for the leak-guard tests:
+// after a prune at time t, neither may retain transactions executed
+// before t.
 func (g *Greedy) LiveStats() (live, postings int) {
-	if g.idx != nil {
-		st := g.idx.Snapshot()
-		return st.LiveVertices, st.PostingEntries
-	}
-	live = len(g.live)
-	for _, users := range g.objUsers {
-		postings += len(users)
-	}
-	return live, postings
-}
-
-// scheduleRebuild is the reference engine: it reconstructs the extended
-// dependency graph from scratch at every arrival.
-func (g *Greedy) scheduleRebuild(txns []*core.Transaction, now core.Time) error {
-	g.prune(now)
-
-	// Vertex layout: [new txns][conflicting scheduled live txns][Z vertices]
-	// [optional hub anchor].
-	newIdx := make(map[core.TxID]coloring.VertexID, len(txns))
-	for i, tx := range txns {
-		newIdx[tx.ID] = coloring.VertexID(i)
-	}
-	oldIdx := make(map[core.TxID]coloring.VertexID)
-	zIdx := make(map[core.ObjID]coloring.VertexID)
-	var oldList []core.TxID
-	var zList []core.ObjID
-	for _, tx := range txns {
-		for _, o := range tx.Objects {
-			if _, ok := zIdx[o]; !ok {
-				zIdx[o] = 0 // placeholder; assigned below
-				zList = append(zList, o)
-			}
-			for _, u := range g.objUsers[o] {
-				if _, ok := newIdx[u]; ok {
-					continue
-				}
-				if _, ok := oldIdx[u]; !ok {
-					oldIdx[u] = 0
-					oldList = append(oldList, u)
-				}
-			}
-		}
-	}
-	base := len(txns)
-	for i, u := range oldList {
-		oldIdx[u] = coloring.VertexID(base + i)
-	}
-	base += len(oldList)
-	for i, o := range zList {
-		zIdx[o] = coloring.VertexID(base + i)
-	}
-	base += len(zList)
-	total := base
-	hubVertex := coloring.VertexID(-1)
-	if g.opts.Hub != nil {
-		hubVertex = coloring.VertexID(total)
-		total++
-	}
-	cg := coloring.New(total)
-
-	// Pre-color scheduled live transactions with their remaining time, and
-	// current transactions (object positions) with 0.
-	for u, v := range oldIdx {
-		exec, ok := g.env.Sim.Scheduled(u)
-		if !ok {
-			return fmt.Errorf("greedy: live transaction %d has no schedule", u)
-		}
-		cg.SetColor(v, coloring.Color(exec-now))
-	}
-	for _, o := range zList {
-		cg.SetColor(zIdx[o], 0)
-	}
-	if hubVertex >= 0 {
-		cg.SetColor(hubVertex, 0)
-	}
-
-	// Edges incident to new transactions.
-	type pair struct{ a, b coloring.VertexID }
-	seen := make(map[pair]bool)
-	addEdge := func(a, b coloring.VertexID, w graph.Weight) error {
-		if a > b {
-			a, b = b, a
-		}
-		if seen[pair{a, b}] {
-			return nil
-		}
-		seen[pair{a, b}] = true
-		return cg.AddEdge(a, b, w)
-	}
-	for _, tx := range txns {
-		tv := newIdx[tx.ID]
-		if hubVertex >= 0 {
-			w := g.env.G.Dist(*g.opts.Hub, tx.Node)
-			if g.opts.Uniform && w%g.beta != 0 {
-				w = (w/g.beta + 1) * g.beta
-			}
-			if err := addEdge(tv, hubVertex, w); err != nil {
-				return err
-			}
-		}
-		for _, o := range tx.Objects {
-			// Current-transaction edge: the object's feasible travel time
-			// to this transaction from its present position.
-			if err := addEdge(tv, zIdx[o], g.zWeight(o, tx.Node, now)); err != nil {
-				return err
-			}
-			// Conflict edges to every other live user of o.
-			for _, u := range g.objUsers[o] {
-				if u == tx.ID {
-					continue
-				}
-				var uv coloring.VertexID
-				if v, ok := newIdx[u]; ok {
-					uv = v
-				} else {
-					uv = oldIdx[u]
-				}
-				// objUsers was pruned of executed transactions above, so u
-				// is live and inside the window — Txn cannot return nil.
-				if err := addEdge(tv, uv, g.conflictWeight(tx.Node, g.env.Sim.Txn(u).Node)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	// Register the new transactions as users before coloring so that
-	// new-new conflicts are fully wired (they already are, since objUsers
-	// additions below only matter for future arrivals) — but they must be
-	// in objUsers for each other: wire them explicitly now.
-	for i, tx := range txns {
-		for j := i + 1; j < len(txns); j++ {
-			if tx.Conflicts(txns[j]) {
-				if err := addEdge(newIdx[tx.ID], newIdx[txns[j].ID], g.conflictWeight(tx.Node, txns[j].Node)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	// Color the new transactions in ID order and commit decisions.
-	sorted := append([]*core.Transaction(nil), txns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	for _, tx := range sorted {
-		v := newIdx[tx.ID]
-		var c, bound coloring.Color
-		if g.opts.Uniform {
-			c = cg.GreedyColorUniform(v, g.beta)
-			bound = coloring.Color(cg.WeightedDegree(v)) + coloring.Color(g.beta)
-		} else {
-			c = cg.GreedyColor(v)
-			bound = 2*coloring.Color(cg.WeightedDegree(v)) - coloring.Color(cg.Degree(v))
-			if bound < 0 {
-				bound = 0
-			}
-		}
-		g.recordAudit(c, bound)
-		if err := g.env.Sim.Decide(tx.ID, now+core.Time(c)); err != nil {
-			return err
-		}
-	}
-	// Track the new transactions as live users.
-	for _, tx := range txns {
-		g.live = append(g.live, tx.ID)
-		for _, o := range tx.Objects {
-			g.objUsers[o] = append(g.objUsers[o], tx.ID)
-		}
-	}
-	return nil
+	st := g.idx.Snapshot()
+	return st.LiveVertices, st.PostingEntries
 }
 
 // conflictWeight is the H'_t edge weight between two conflicting
@@ -562,32 +369,4 @@ func (g *Greedy) zWeight(o core.ObjID, node graph.NodeID, now core.Time) graph.W
 		w = (w/g.beta + 1) * g.beta
 	}
 	return w
-}
-
-// prune drops executed transactions from the live tracking structures.
-func (g *Greedy) prune(now core.Time) {
-	isLive := func(id core.TxID) bool {
-		et, ok := g.env.Sim.Executed(id)
-		return !ok || et >= now
-	}
-	keep := g.live[:0]
-	for _, id := range g.live {
-		if isLive(id) {
-			keep = append(keep, id)
-		}
-	}
-	g.live = keep
-	for o, users := range g.objUsers {
-		ku := users[:0]
-		for _, id := range users {
-			if isLive(id) {
-				ku = append(ku, id)
-			}
-		}
-		if len(ku) == 0 {
-			delete(g.objUsers, o)
-		} else {
-			g.objUsers[o] = ku
-		}
-	}
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // leakProbe wraps a Greedy and, after every arrival batch, compares the
-// scheduler's live-set bookkeeping (conflict-index vertices/postings for
-// the incremental engine, the live list and objUsers for the oracle)
+// scheduler's live-set bookkeeping (conflict-index vertices and postings)
 // against the simulation's ground truth: a transaction is live at time t
 // iff it has not executed strictly before t. Any excess means committed
 // transactions are being retained — the leak the O(1) posting removal and
@@ -71,7 +70,7 @@ func (p *leakProbe) check() {
 
 const maxObjectsPerTx = 2 // workload K below
 
-// TestPruneLeakGuardLongRun drives both engines through a long-lived mixed
+// TestPruneLeakGuardLongRun drives the scheduler through a long-lived mixed
 // workload at n=512 with over 10k arrivals and asserts after every arrival
 // that no committed transaction survives in the live tracking structures.
 func TestPruneLeakGuardLongRun(t *testing.T) {
@@ -102,19 +101,16 @@ func TestPruneLeakGuardLongRun(t *testing.T) {
 		t.Fatalf("workload has %d transactions, want >= 10000", len(in.Txns))
 	}
 	arrivalTimes := len(in.ArrivalTimes())
-	for _, rebuild := range []bool{false, true} {
-		probe := &leakProbe{Greedy: New(Options{EngineOptions: sched.EngineOptions{RebuildOracle: rebuild}}), t: t}
-		rr, err := sched.Run(in, probe, sched.Options{SnapshotEvery: -1})
-		if err != nil {
-			t.Fatalf("rebuild=%v: run failed: %v", rebuild, err)
-		}
-		if rr.Failed {
-			t.Fatalf("rebuild=%v: run marked failed: %v", rebuild, rr.Err)
-		}
-		if probe.checks != arrivalTimes {
-			t.Fatalf("rebuild=%v: %d leak checks for %d arrival times", rebuild, probe.checks, arrivalTimes)
-		}
-		t.Logf("rebuild=%v: %d arrivals, %d checks, peak live %d",
-			rebuild, len(in.Txns), probe.checks, probe.maxLive)
+	probe := &leakProbe{Greedy: New(Options{}), t: t}
+	rr, err := sched.Run(in, probe, sched.Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
 	}
+	if rr.Failed {
+		t.Fatalf("run marked failed: %v", rr.Err)
+	}
+	if probe.checks != arrivalTimes {
+		t.Fatalf("%d leak checks for %d arrival times", probe.checks, arrivalTimes)
+	}
+	t.Logf("%d arrivals, %d checks, peak live %d", len(in.Txns), probe.checks, probe.maxLive)
 }

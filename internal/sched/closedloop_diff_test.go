@@ -2,7 +2,7 @@ package sched_test
 
 // Differential pin: the unified closed-loop driver (RunClosedLoop on the
 // shared drive core) must reproduce the frozen pre-unification reference
-// byte-for-byte across the engine_diff config grid — decision logs,
+// byte-for-byte across the engine differential config grid — decision logs,
 // results, merged metric snapshots, emitted event streams, and the
 // generated instance itself (the arrival process feeds back through
 // commit times, so any drift compounds into a different workload).
@@ -105,15 +105,8 @@ func pinClosedLoop(t *testing.T, run func(*graph.Graph, sched.ClosedLoopConfig, 
 
 func TestClosedLoopMatchesRef(t *testing.T) {
 	scheds := map[string]func() sched.Scheduler{
-		"greedy": func() sched.Scheduler { return engine.NewGreedy(greedy.Options{}) },
-		"greedy-rebuild": func() sched.Scheduler {
-			return engine.NewGreedy(greedy.Options{EngineOptions: sched.EngineOptions{RebuildOracle: true}})
-		},
-		"bucket-tour": func() sched.Scheduler { return engine.NewBucket(bucket.Options{Batch: batchpkg.Tour{}}) },
-		"bucket-tour-rebuild": func() sched.Scheduler {
-			return engine.NewBucket(bucket.Options{Batch: batchpkg.Tour{},
-				EngineOptions: sched.EngineOptions{RebuildOracle: true}})
-		},
+		"greedy":          func() sched.Scheduler { return engine.NewGreedy(greedy.Options{}) },
+		"bucket-tour":     func() sched.Scheduler { return engine.NewBucket(bucket.Options{Batch: batchpkg.Tour{}}) },
 		"bucket-coloring": func() sched.Scheduler { return engine.NewBucket(bucket.Options{Batch: batchpkg.Coloring{}}) },
 		"coordinator":     func() sched.Scheduler { return engine.NewCoordinator(0, greedy.Options{}) },
 	}

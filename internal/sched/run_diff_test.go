@@ -3,7 +3,7 @@ package sched_test
 // Differential pin: the finite-instance driver (Run on the shared drive
 // core, over an always-exhausted arrival stream) must reproduce the
 // frozen reference loop byte-for-byte across every central registry
-// engine, the oracle and feature-knob variants, four topologies and three
+// engine, the feature-knob variants, four topologies and three
 // seeds — decision logs, results, merged metric snapshots and emitted
 // event streams.
 
@@ -12,15 +12,12 @@ import (
 	"fmt"
 	"testing"
 
-	"dtm/internal/bucket"
 	"dtm/internal/core"
 	"dtm/internal/engine"
 	"dtm/internal/graph"
 	"dtm/internal/greedy"
 	"dtm/internal/sched"
 	"dtm/internal/workload"
-
-	batchpkg "dtm/internal/batch"
 )
 
 // pinRun pins a finite run through pinClosedLoop, adapting run to the
@@ -51,14 +48,7 @@ func TestRunMatchesRef(t *testing.T) {
 		d := d
 		cases = append(cases, runCase{d.ID, func() sched.Scheduler { return d.New(sched.EngineOptions{}) }, core.SimOptions{}})
 	}
-	rebuild := sched.EngineOptions{RebuildOracle: true}
 	cases = append(cases,
-		runCase{"greedy-rebuild", func() sched.Scheduler {
-			return engine.NewGreedy(greedy.Options{EngineOptions: rebuild})
-		}, core.SimOptions{}},
-		runCase{"bucket-tour-rebuild", func() sched.Scheduler {
-			return engine.NewBucket(bucket.Options{Batch: batchpkg.Tour{}, EngineOptions: rebuild})
-		}, core.SimOptions{}},
 		runCase{"greedy-pad2", func() sched.Scheduler {
 			return engine.NewGreedy(greedy.Options{Pad: 2})
 		}, core.SimOptions{}},

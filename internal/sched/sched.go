@@ -112,18 +112,11 @@ type RunResult struct {
 	Metrics *obs.Snapshot
 }
 
-// EngineOptions are the engine-selection knobs shared by the central
-// schedulers. Both greedy and bucket maintain two engines: an incremental
-// default (persistent conflict index, sessionized batch substrate) and the
-// original from-scratch implementation kept as a byte-identical reference.
-// Embed this struct in a scheduler's Options to get the shared knob.
-type EngineOptions struct {
-	// RebuildOracle selects the from-scratch reference engine instead of
-	// the incremental default. Both produce byte-identical schedules (the
-	// root differential tests pin this); the oracle trades speed for
-	// being the directly-auditable implementation of the paper.
-	RebuildOracle bool
-}
+// EngineOptions is the argument of the engine registry's constructors
+// (engine.Desc.New). It carries no knobs: every central engine has one
+// scheduling path, and its from-scratch reference lives in the engine
+// package's tests.
+type EngineOptions struct{}
 
 // Options configure a driver run.
 type Options struct {

@@ -63,13 +63,6 @@ type Options struct {
 	// Runs with equal seeds are byte-identical; different seeds explore
 	// different priority orders (the algorithm's only randomness).
 	Seed int64
-	// InitialWindow is W, the first acceptance window; zero selects the
-	// graph diameter (minimum 1), the natural frame length under which a
-	// decision can cross the graph.
-	InitialWindow graph.Weight
-	// MaxRounds caps the retry rounds per batch; zero selects 64. Only an
-	// engine bug can exhaust it (windows double each round).
-	MaxRounds int
 }
 
 // Audit accumulates the window-algorithm bookkeeping of a run.
@@ -146,13 +139,9 @@ func (w *Window) Start(env *sched.Env) error {
 	}
 	// Re-seeded per run so a reused scheduler value replays identically.
 	w.rng = rand.New(rand.NewSource(seed))
-	w.w0 = w.opts.InitialWindow
-	if w.w0 <= 0 {
-		w.w0 = env.G.Diameter()
-		if w.w0 < 1 {
-			w.w0 = 1
-		}
-	}
+	// The first acceptance window W is the graph diameter (minimum 1),
+	// the natural frame length under which a decision can cross the graph.
+	w.w0 = max(env.G.Diameter(), 1)
 	return nil
 }
 
@@ -168,13 +157,6 @@ func (w *Window) NextWake() (core.Time, bool) { return 0, false }
 
 // OnWake implements sched.Scheduler.
 func (w *Window) OnWake() error { return nil }
-
-func (w *Window) maxRounds() int {
-	if w.opts.MaxRounds > 0 {
-		return w.opts.MaxRounds
-	}
-	return defaultMaxRounds
-}
 
 // schedule runs the window algorithm on one arrival batch: insert all new
 // transactions into the conflict index, then round after round draw fresh
@@ -204,7 +186,7 @@ func (w *Window) schedule(txns []*core.Transaction) error {
 	var err error
 	for len(cands) > 0 && err == nil {
 		rounds++
-		if rounds > w.maxRounds() {
+		if rounds > defaultMaxRounds {
 			err = fmt.Errorf("window: batch of %d at t=%d still unplaced after %d rounds (window %d)",
 				len(cands), now, rounds-1, cands[0].win)
 			break
