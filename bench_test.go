@@ -110,37 +110,34 @@ func BenchmarkSweepWorkers(b *testing.B) {
 // --- Table 6: CPU cost of the scheduling computations themselves ---
 
 // BenchmarkGreedyScheduleCPU measures one full online greedy run (all
-// coloring work) per instance size; Section III-B claims O(n' + m' log n')
-// per step. internal/greedy's BenchmarkEngineCPU times the same workload
-// against the from-scratch rebuild reference.
+// coloring work) per instance size, for the incremental engine and its
+// from-scratch rebuild reference (engine_ref_test.go); -benchmem shows the
+// ns and alloc gap the conflict index buys. Section III-B claims
+// O(n' + m' log n') per step.
 func BenchmarkGreedyScheduleCPU(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
-		g, err := graph.Clique(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		in, err := workload.Generate(g, workload.Config{
-			K: 3, NumObjects: n, Rounds: 3,
-			Arrival: workload.ArrivalPeriodic, Period: 2, Seed: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("clique-n%d/incremental", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := engine.NewGreedy(greedy.Options{})
-				if _, err := sched.Run(in, s, sched.Options{SnapshotEvery: -1}); err != nil {
-					b.Fatal(err)
+		in := cliqueInstance(b, n)
+		for _, eng := range []struct {
+			name string
+			mk   func() sched.Scheduler
+		}{
+			{"incremental", func() sched.Scheduler { return engine.NewGreedy(greedy.Options{}) }},
+			{"rebuild", func() sched.Scheduler { return newGreedyRef(greedy.Options{}) }},
+		} {
+			b.Run(fmt.Sprintf("clique-n%d/%s", n, eng.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := sched.Run(in, eng.mk(), sched.Options{SnapshotEvery: -1}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
 // BenchmarkBucketScheduleCPU measures the bucket conversion (level probes
-// plus activations) per instance size; Section IV-D claims polynomial
-// time. internal/bucket's BenchmarkEngineCPU times the same workload
-// against the from-scratch rebuild reference.
+// plus activations) per instance size, for the session-driven engine and
+// its from-scratch rebuild reference; Section IV-D claims polynomial time.
 func BenchmarkBucketScheduleCPU(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		g, err := graph.Line(n)
@@ -154,14 +151,21 @@ func BenchmarkBucketScheduleCPU(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("line-n%d/incremental", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := engine.NewBucket(bucket.Options{Batch: batch.Tour{}})
-				if _, err := sched.Run(in, s, sched.Options{SnapshotEvery: -1}); err != nil {
-					b.Fatal(err)
+		for _, eng := range []struct {
+			name string
+			mk   func() sched.Scheduler
+		}{
+			{"incremental", func() sched.Scheduler { return engine.NewBucket(bucket.Options{Batch: batch.Tour{}}) }},
+			{"rebuild", func() sched.Scheduler { return newBucketRef(bucket.Options{Batch: batch.Tour{}}) }},
+		} {
+			b.Run(fmt.Sprintf("line-n%d/%s", n, eng.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := sched.Run(in, eng.mk(), sched.Options{SnapshotEvery: -1}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ package dtm
 //     driver with retirement enabled, live state plateaus instead of
 //     growing with the arrival count.
 //
-// engine_par_test.go and the greedy/bucket differential tests stress the
-// same contracts across many topologies/seeds/feature knobs; this suite is the cheap
+// engine_par_test.go and engine_diff_test.go stress the same contracts
+// across many topologies/seeds/feature knobs; this suite is the cheap
 // per-engine gate a new registry entry must clear first.
 
 import (

@@ -27,8 +27,8 @@
 //
 // The scheduler-facing contract is exact: the colors produced from an
 // Index walk equal those of a from-scratch rebuild of H'_t for every input
-// (internal/greedy's differential test pins this against its test-only
-// rebuild reference across options, topologies, and seeds).
+// (the root differential test, engine_diff_test.go, pins this against a
+// test-only rebuild reference across options, topologies, and seeds).
 package depgraph
 
 import (

@@ -3,9 +3,9 @@ package experiments
 // T12 — the incremental-engine scaling sweep: greedy on cliques up to
 // n=1024, recording the conflict index's workload (peak live vertices,
 // posting edges served) against the transaction count. The identity with
-// the from-scratch rebuild reference at these sizes is pinned by
-// internal/greedy's TestCliqueIdentityAtScale, and the wall-clock gap by
-// its BenchmarkEngineCPU; wall clock stays out of the experiment tables,
+// the from-scratch rebuild reference at these sizes is pinned by the root
+// package's TestCliqueIdentityAtScale, and the wall-clock gap by
+// BenchmarkGreedyScheduleCPU; wall clock stays out of the experiment tables,
 // which must be byte-identical across runner widths.
 
 import (

@@ -2,7 +2,7 @@ package sched_test
 
 // Differential pin: the unified closed-loop driver (RunClosedLoop on the
 // shared drive core) must reproduce the frozen pre-unification reference
-// byte-for-byte across the engine differential config grid — decision logs,
+// byte-for-byte across the engine_diff config grid — decision logs,
 // results, merged metric snapshots, emitted event streams, and the
 // generated instance itself (the arrival process feeds back through
 // commit times, so any drift compounds into a different workload).

@@ -114,8 +114,8 @@ type RunResult struct {
 
 // EngineOptions is the argument of the engine registry's constructors
 // (engine.Desc.New). It carries no knobs: every central engine has one
-// scheduling path, and its from-scratch reference lives in the engine
-// package's tests.
+// scheduling path, and its from-scratch reference is test code in the
+// root package (engine_ref_test.go).
 type EngineOptions struct{}
 
 // Options configure a driver run.
